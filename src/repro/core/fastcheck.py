@@ -1,8 +1,8 @@
-"""Single-pass fast race checking over an encoded trace.
+"""Single-pass fast race checking over a recorded trace.
 
 ``check_trace_fast`` is the single-thread hot path the ROADMAP's
-"~1M events/s" item calls for: one streaming pass over an
-:class:`~repro.core.events.EncodedTrace` in which *structure* events
+"~1M events/s" item calls for: one streaming pass over the columns of a
+:class:`~repro.core.events.Trace` in which *structure* events
 mutate a live :class:`~repro.core.array_dtrg.ArrayDTRG` in place and
 *access* events run Algorithms 8-9 over compact integer-indexed shadow
 state — no per-event Python objects, no replay stand-ins, no epoch
@@ -29,10 +29,10 @@ bit-identical to the sequential replay detector; ``cache_*`` report 0
 because the array engine runs cache-less (verdict-cache hit counts are
 physical-root-identity-sensitive, see :mod:`repro.core.array_dtrg`).
 
-The run-length segments produced by ``encode_trace`` do double duty:
-dispatch is amortized over whole blocks (the access inner loop never
-tests event *types*), and the per-phase wall-clock split the bench
-surfaces (``structure_seconds`` vs ``access_seconds``) falls out of
+The trace's run-length segments (:attr:`~repro.core.events.Trace.runs`)
+do double duty: dispatch is amortized over whole blocks (the access inner
+loop never tests event *types*), and the per-phase wall-clock split the
+bench surfaces (``structure_seconds`` vs ``access_seconds``) falls out of
 timestamping block boundaries instead of single events.
 
 Provenance sites recorded in the trace ride along: races carry the two
@@ -53,8 +53,8 @@ from repro.core.events import (
     OP_TASK_CREATE,
     OP_TASK_END,
     RUN_ACCESS,
-    EncodedTrace,
     Event,
+    Trace,
     encode_trace,
 )
 from repro.core.races import AccessKind, Race, RaceReport
@@ -92,9 +92,10 @@ class FastCheckResult:
         self.precede_calls_saved = 0
         self.num_accesses = 0
         self.total_readers_seen = 0
-        #: ``encode_seconds`` (trace lowering, 0.0 when given an already
-        #: encoded trace), ``structure_seconds`` (DTRG mutation blocks),
-        #: ``access_seconds`` (shadow check blocks), ``total_seconds``.
+        #: ``encode_seconds`` (encoding an event iterable; a
+        #: :class:`~repro.core.events.Trace` needs none),
+        #: ``structure_seconds`` (DTRG mutation blocks), ``access_seconds``
+        #: (shadow check blocks), ``total_seconds``.
         self.timings: Dict[str, float] = {}
 
     @property
@@ -143,7 +144,7 @@ class FastCheckResult:
 
 
 def check_trace_fast(
-    trace: "EncodedTrace | Iterable[Event]",
+    trace: "Trace | Iterable[Event]",
     *,
     names: Optional[Dict[int, str]] = None,
     progress=None,
@@ -153,9 +154,9 @@ def check_trace_fast(
     Parameters
     ----------
     trace:
-        An :class:`EncodedTrace`, or a :class:`~repro.core.events.Trace` /
-        event iterable (encoded on the fly; the encode time is reported
-        separately in ``timings``).
+        A :class:`~repro.core.events.Trace`, or any event iterable
+        (encoded first; the encode time is reported separately in
+        ``timings``).
     names:
         Optional tid -> display-name map; defaults to the replay
         convention ``task#<tid>`` / ``future#<tid>``.
@@ -166,12 +167,8 @@ def check_trace_fast(
         function byte-identical to the untelemetered build.
     """
     t0 = perf_counter()
-    if isinstance(trace, EncodedTrace):
-        enc = trace
-        t_enc = t0
-    else:
-        enc = encode_trace(trace)
-        t_enc = perf_counter()
+    enc = encode_trace(trace)
+    t_enc = perf_counter()
 
     task_keys = enc.task_keys
     n_tasks = len(task_keys)

@@ -6,9 +6,10 @@ from *structure* events, while the per-location shadow checks are mutually
 independent once the reachability structure is known.  Given a recorded
 trace (:class:`~repro.core.events.Trace` or any event iterable):
 
-1. **Build** (sequential, one streaming pass): structure events drive a
-   real :class:`~repro.core.reachability.DynamicTaskReachabilityGraph`
-   while every read/write is stamped with the *mutation epoch* at its
+1. **Build** (sequential, one pass over the trace's columns): structure
+   events drive a real
+   :class:`~repro.core.reachability.DynamicTaskReachabilityGraph` while
+   every read/write is stamped with the *mutation epoch* at its
    stream position and bucketed by location hash.  The finished graph is
    frozen into a :class:`~repro.core.snapshot.DTRGSnapshot` (flat
    ``array('q')`` columns) plus a :class:`StructureLog` — the
@@ -62,15 +63,9 @@ from repro.core.events import (
     OP_TASK_CREATE,
     OP_TASK_END,
     RUN_ACCESS,
-    EncodedTrace,
     Event,
-    FinishEndEvent,
-    FinishStartEvent,
-    GetEvent,
-    ReadEvent,
-    TaskCreateEvent,
-    TaskEndEvent,
-    WriteEvent,
+    Trace,
+    encode_trace,
 )
 from repro.core.races import AccessKind, Race, RaceReport
 from repro.core.reachability import DynamicTaskReachabilityGraph
@@ -347,132 +342,17 @@ class _BuildResult:
     )
 
 
-def _build_phase(events: Iterable[Event], num_buckets: int,
+def _build_phase(enc: Trace, num_buckets: int,
                  names: Optional[Dict[int, str]]) -> _BuildResult:
-    """One streaming pass: structure -> recording DTRG, accesses ->
-    epoch-stamped per-bucket rows.  Mirrors ``replay_trace``'s implicit
-    bracket (main task 0, root finish 0, closing merges + terminate) so
-    epochs line up with the sequential replay exactly."""
-    dtrg = _RecordingDTRG()
-    default_name = "task#{}".format
-    future_name = "future#{}".format
-    task_names: Dict[int, str] = dict(names) if names else {}
-    covered: Dict[int, bool] = {0: False}
-    dtrg.add_root(0, name=task_names.get(0, default_name(0)))
-    scopes: Dict[int, _Scope] = {0: _Scope(0)}
-
-    locs: List[Hashable] = []
-    loc_ids: Dict[Hashable, int] = {}
-    loc_bucket = array("q")
-    # Rows accumulate in plain Python lists — one list.__iadd__ per event —
-    # and are bulk-converted to array('q') once at the end.  A per-event
-    # array.extend costs ~4x a list extend (buffer-protocol negotiation per
-    # call), which dominated the build phase on access-heavy traces.
-    buckets: List[list] = [[] for _ in range(num_buckets)]
-    bucket_sites: List[Optional[list]] = [None] * num_buckets
-
-    seq = 0
-    n_access = 0
-    n_structure = 0
-    crc32 = zlib.crc32
-    for event in events:
-        tp = type(event)
-        if tp is ReadEvent or tp is WriteEvent:
-            loc = event.loc
-            loc_id = loc_ids.get(loc)
-            if loc_id is None:
-                loc_id = len(locs)
-                loc_ids[loc] = loc_id
-                locs.append(loc)
-                loc_bucket.append(
-                    crc32(repr(loc).encode("utf-8", "replace")) % num_buckets
-                )
-            b = loc_bucket[loc_id]
-            bucket = buckets[b]
-            bucket += (
-                seq, dtrg.mutation_epoch,
-                0 if tp is ReadEvent else 1,
-                event.task, loc_id,
-            )
-            site = getattr(event, "site", None)
-            sites = bucket_sites[b]
-            if sites is not None:
-                sites.append(site)
-            elif site is not None:
-                # Lazily backfill: site retention costs nothing on
-                # provenance-free traces.
-                sites = [None] * (len(bucket) // _ROW - 1)
-                sites.append(site)
-                bucket_sites[b] = sites
-            n_access += 1
-        elif tp is TaskCreateEvent:
-            child = event.child
-            covered[child] = event.is_future or covered[event.parent]
-            if child not in task_names:
-                task_names[child] = (
-                    future_name(child) if event.is_future
-                    else default_name(child)
-                )
-            dtrg.add_task(
-                event.parent, child,
-                is_future=event.is_future, name=task_names[child],
-            )
-            if event.ief >= 0:
-                scopes[event.ief].joins.append(child)
-            n_structure += 1
-        elif tp is TaskEndEvent:
-            dtrg.on_terminate(event.task)
-            n_structure += 1
-        elif tp is GetEvent:
-            dtrg.record_join(event.consumer, event.producer)
-            n_structure += 1
-        elif tp is FinishStartEvent:
-            scopes[event.fid] = _Scope(event.owner)
-            n_structure += 1
-        elif tp is FinishEndEvent:
-            scope = scopes[event.fid]
-            for tid in scope.joins:
-                dtrg.merge(scope.owner, tid)
-            n_structure += 1
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown event {event!r}")
-        seq += 1
-    # Implicit closing bracket: root finish end, then main terminates.
-    root = scopes[0]
-    for tid in root.joins:
-        dtrg.merge(0, tid)
-    dtrg.on_terminate(0)
-    if 0 not in task_names:
-        task_names[0] = default_name(0)
-
-    result = _BuildResult()
-    result.dtrg = dtrg
-    result.log = dtrg.log
-    result.covered = covered
-    result.names = task_names
-    result.locs = locs
-    result.buckets = [array("q", rows) for rows in buckets]
-    result.bucket_sites = bucket_sites
-    result.num_events = seq
-    result.num_access_events = n_access
-    result.num_structure_events = n_structure
-    result.final_epoch = dtrg.mutation_epoch
-    return result
-
-
-def _build_phase_encoded(enc: EncodedTrace, num_buckets: int,
-                         names: Optional[Dict[int, str]]) -> _BuildResult:
-    """The :func:`_build_phase` streaming pass over an already-lowered
-    :class:`~repro.core.events.EncodedTrace` — no event objects are
-    reconstructed (ROADMAP item 5's leftover: the sharded checker used to
-    require re-decoding an encoded trace back into slotted events first).
+    """One pass over the trace's columns: structure -> recording DTRG,
+    accesses -> epoch-stamped per-bucket rows.  Mirrors ``replay_trace``'s
+    implicit bracket (main task 0, root finish 0, closing merges +
+    terminate) so epochs line up with the sequential replay exactly.
 
     Access runs walk the flat 3-wide ``array('q')`` rows directly and
     structure runs dispatch the small op tuples.  Bucket rows store task
-    *keys* (``task_keys[idx]``), exactly like the event path, so the
-    post-freeze dense remap and everything downstream is shared code —
-    which is what keeps the byte-identical-at-any-jobs contract intact
-    (pinned against the event path by the jobs {1,2,4} property sweep).
+    *keys* (``task_keys[idx]``), so the post-freeze dense remap works on
+    the original tids.
     """
     dtrg = _RecordingDTRG()
     default_name = "task#{}".format
@@ -484,8 +364,7 @@ def _build_phase_encoded(enc: EncodedTrace, num_buckets: int,
         task_keys[0], default_name(task_keys[0])))
     scopes: Dict[int, _Scope] = {0: _Scope(task_keys[0])}
 
-    # Location ids are the encoder's first-occurrence interning order —
-    # the same order the event path assigns — so bucket hashes line up.
+    # Location ids are the trace's first-occurrence interning order.
     locs: List[Hashable] = list(enc.locs)
     crc32 = zlib.crc32
     loc_bucket = array("q", (
@@ -564,7 +443,7 @@ def _build_phase_encoded(enc: EncodedTrace, num_buckets: int,
                     raise TypeError(f"unknown structure op {op!r}")
                 seq += 1
             s += count
-    # Implicit closing bracket, exactly as the event path.
+    # Implicit closing bracket: root finish end, then main terminates.
     root = scopes[0]
     for tid in root.joins:
         dtrg.merge(task_keys[0], tid)
@@ -826,7 +705,7 @@ def _resolve_backend(backend: Optional[str], jobs: int) -> str:
 
 
 def check_trace_parallel(
-    trace: EncodedTrace | Iterable[Event],
+    trace: Trace | Iterable[Event],
     *,
     jobs: int = 1,
     backend: Optional[str] = None,
@@ -839,11 +718,9 @@ def check_trace_parallel(
     Parameters
     ----------
     trace:
-        A :class:`~repro.core.events.Trace`, any iterable of events
-        (generators welcome — the build phase is a single streaming
-        pass), or an :class:`~repro.core.events.EncodedTrace`, whose
-        batched rows the build phase consumes directly without
-        reconstructing event objects.
+        A :class:`~repro.core.events.Trace`, whose columns the build
+        phase consumes directly, or any iterable of events (generators
+        welcome), encoded into a ``Trace`` first.
     jobs:
         Number of shards/workers.  ``1`` runs the same two-phase pipeline
         in-process; results are bit-identical at every value.
@@ -872,14 +749,11 @@ def check_trace_parallel(
     t0 = time.perf_counter()
 
     num_buckets = max(jobs * _BUCKETS_PER_JOB, 1)
+    trace = encode_trace(trace)
     if progress is not None:
         progress.set_phase("build")
-        if isinstance(trace, EncodedTrace):
-            progress.set_total(2 * len(trace))  # build pass + check pass
-    if isinstance(trace, EncodedTrace):
-        build = _build_phase_encoded(trace, num_buckets, names)
-    else:
-        build = _build_phase(trace, num_buckets, names)
+        progress.set_total(2 * len(trace))  # build pass + check pass
+    build = _build_phase(trace, num_buckets, names)
     t_build = time.perf_counter()
     if progress is not None:
         # Exact total now that the build pass counted the stream: one

@@ -311,8 +311,8 @@ class ThroughputBenchResult:
     * ``snapshot_jobs1`` — the two-phase sharded checker at ``jobs=1``
       (the PR 5 pure-Python baseline the acceptance ratio is against);
     * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the
-      batched :class:`~repro.core.events.EncodedTrace` and the flat-array
-      live DTRG (the PR 6 hot path).
+      recorded :class:`~repro.core.events.Trace` columns and the
+      flat-array live DTRG (the PR 6 hot path).
 
     ``identical`` records the bit-equivalence contract: all three engines
     produced the same ``RaceReport.summary()`` text, the same ordered race
@@ -388,7 +388,6 @@ def run_throughput_benchmark(
     stream; wall times are best-of-``repeats`` per engine.  Equivalence is
     asserted into ``identical``/``mismatches`` rather than raised so a
     violation still lands in the artifact (and the CLI exits non-zero)."""
-    from repro.core.events import encode_trace
     from repro.core.fastcheck import check_trace_fast
     from repro.core.parallel_check import check_trace_parallel
     from repro.memory.tracer import TraceRecorder, replay_trace
@@ -404,9 +403,6 @@ def run_throughput_benchmark(
     if verify:
         bench.verify(params, run.result)
     trace = recorder.trace
-    t_enc = time.perf_counter()
-    encoded = encode_trace(trace)
-    encode_seconds = time.perf_counter() - t_enc
 
     from repro.core.detector import DeterminacyRaceDetector
 
@@ -432,11 +428,9 @@ def run_throughput_benchmark(
     fast = None
     fast_timings: Dict[str, float] = {}
     for _ in range(repeats):
-        fast = check_trace_fast(encoded)
+        fast = check_trace_fast(trace)
         for key, value in fast.timings.items():
             fast_timings[key] = min(fast_timings.get(key, value), value)
-    # The encode pass ran once, outside the repeat loop — report it.
-    fast_timings["encode_seconds"] = encode_seconds
 
     assert detector is not None and snap is not None and fast is not None
     mismatches: List[str] = []
@@ -477,7 +471,7 @@ def run_throughput_benchmark(
 class TelemetryBenchResult:
     """One workload's trace checked twice by the fast-path engine:
 
-    * ``detached`` — plain ``check_trace_fast(encoded)``, no telemetry
+    * ``detached`` — plain ``check_trace_fast(trace)``, no telemetry
       object anywhere (the PR 3 null-object contract: this leg must be
       byte-identical to a build without ``repro.obs.live`` imported);
     * ``served`` — the same call with a :class:`~repro.obs.live.
@@ -543,7 +537,6 @@ def run_telemetry_benchmark(
     import threading
     import urllib.request
 
-    from repro.core.events import encode_trace
     from repro.core.fastcheck import check_trace_fast
     from repro.memory.tracer import TraceRecorder
     from repro.obs.live import LiveTelemetry
@@ -558,13 +551,13 @@ def run_telemetry_benchmark(
     )
     if verify:
         bench.verify(params, run.result)
-    encoded = encode_trace(recorder.trace)
+    trace = recorder.trace
 
     detached_best = float("inf")
     detached = None
     for _ in range(repeats):
         start = time.perf_counter()
-        detached = check_trace_fast(encoded)
+        detached = check_trace_fast(trace)
         detached_best = min(detached_best, time.perf_counter() - start)
 
     served_best = float("inf")
@@ -594,7 +587,7 @@ def run_telemetry_benchmark(
     try:
         for _ in range(repeats):
             start = time.perf_counter()
-            served = check_trace_fast(encoded, progress=telemetry.progress)
+            served = check_trace_fast(trace, progress=telemetry.progress)
             served_best = min(served_best, time.perf_counter() - start)
         samples = int(telemetry.sampler.gauges.get("sampler_samples_total", 0))
     finally:

@@ -8,10 +8,17 @@ pure detector cost (the quantity Theorem 1 bounds) from workload cost, and
 it is how ``benchmarks/bench_detector_comparison.py`` compares our detector
 against SP-bags/ESP-bags/vector clocks on identical event streams.
 
-Replay synthesizes lightweight stand-ins for :class:`Task` and
-:class:`FinishScope` that carry exactly the attributes observers consume
-(``tid``, ``is_future``, ``parent``, ``ief``, ``name``, ``owner``,
-``joins``, ``enclosing``).
+:class:`TraceRecorder` writes the columns of a
+:class:`~repro.core.events.Trace` directly from the runtime hooks: a read
+or write appends three ints to a plain list (the location interned with
+one dict probe, the task index cached while the same task keeps
+accessing), and a structure hook appends one tuple.  No event object is
+allocated, and the fast checker reads the recorded columns as they are.
+
+Replay walks those columns in one loop and synthesizes lightweight
+stand-ins for :class:`Task` and :class:`FinishScope` that carry exactly
+the attributes observers consume (``tid``, ``is_future``, ``parent``,
+``ief``, ``name``, ``owner``, ``joins``, ``enclosing``).
 """
 
 from __future__ import annotations
@@ -19,16 +26,15 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.events import (
+    OP_FINISH_START,
+    OP_GET,
+    OP_TASK_CREATE,
+    OP_TASK_END,
+    RUN_ACCESS,
     Event,
     ExecutionObserver,
-    FinishEndEvent,
-    FinishStartEvent,
-    GetEvent,
-    ReadEvent,
-    TaskCreateEvent,
-    TaskEndEvent,
     Trace,
-    WriteEvent,
+    encode_trace,
 )
 
 __all__ = ["TraceRecorder", "replay_trace", "replay_trace_parallel"]
@@ -44,9 +50,9 @@ class TraceRecorder(ExecutionObserver):
     With a :class:`repro.obs.provenance.RaceProvenance` attached (the same
     object given to the runtime, whose adapter observer runs first), the
     spawn/get/read/write events additionally carry the provenance call-site
-    label in their optional ``site`` field, so a replayed trace can
-    attribute races to source sites without re-running the program.
-    Without one the recorded events are exactly the pre-provenance events.
+    label (the trace's ``access_sites`` and ``structure_sites`` columns),
+    so a replayed trace can attribute races to source sites without
+    re-running the program.  Without one both columns stay ``None``.
     """
 
     def __init__(self, provenance=None) -> None:
@@ -56,6 +62,13 @@ class TraceRecorder(ExecutionObserver):
             if provenance is not None and getattr(provenance, "enabled", False)
             else None
         )
+        # The access hooks write the trace's columns directly.
+        self._rows = self.trace._rows
+        self._task_index = self.trace.task_index
+        self._loc_index = self.trace.loc_index
+        self._locs = self.trace.locs
+        self._task = None   # task of the last access ...
+        self._task_idx = 0  # ... and its dense index
 
     def _site(self):
         prov = self._prov
@@ -64,51 +77,63 @@ class TraceRecorder(ExecutionObserver):
         return prov.site_label(prov.current_site)
 
     def on_task_create(self, parent, child) -> None:
-        self.trace.append(
-            TaskCreateEvent(
-                parent=parent.tid,
-                child=child.tid,
-                is_future=child.is_future,
-                ief=child.ief.fid if child.ief is not None else -1,
-                site=self._site(),
-            )
+        self.trace.add_task_create(
+            parent.tid, child.tid, child.is_future,
+            child.ief.fid if child.ief is not None else -1,
+            self._site(),
         )
 
     def on_task_end(self, task) -> None:
         if task.parent is None:
             return  # main's end belongs to the implicit bracket
-        self.trace.append(TaskEndEvent(task=task.tid))
+        self.trace.add_task_end(task.tid)
 
     def on_get(self, consumer, producer) -> None:
-        self.trace.append(
-            GetEvent(
-                consumer=consumer.tid,
-                producer=producer.tid,
-                site=self._site(),
-            )
-        )
+        self.trace.add_get(consumer.tid, producer.tid, self._site())
 
     def on_finish_start(self, scope) -> None:
         if scope.enclosing is None:
             return  # implicit root finish
-        self.trace.append(
-            FinishStartEvent(
-                fid=scope.fid,
-                owner=scope.owner.tid,
-                enclosing=scope.enclosing.fid if scope.enclosing else -1,
-            )
+        self.trace.add_finish_start(
+            scope.fid, scope.owner.tid, scope.enclosing.fid
         )
 
     def on_finish_end(self, scope) -> None:
         if scope.enclosing is None:
             return  # implicit root finish
-        self.trace.append(FinishEndEvent(fid=scope.fid))
+        self.trace.add_finish_end(scope.fid)
 
     def on_read(self, task, loc) -> None:
-        self.trace.append(ReadEvent(task=task.tid, loc=loc, site=self._site()))
+        if self._prov is not None:
+            self.trace.add_access(False, task.tid, loc, self._site())
+            return
+        if task is not self._task:
+            self._task = task
+            self._task_idx = self._task_index[task.tid]
+        lid = self._loc_index.get(loc)
+        if lid is None:
+            lid = self._loc_index[loc] = len(self._locs)
+            self._locs.append(loc)
+        rows = self._rows
+        rows.append(0)
+        rows.append(self._task_idx)
+        rows.append(lid)
 
     def on_write(self, task, loc) -> None:
-        self.trace.append(WriteEvent(task=task.tid, loc=loc, site=self._site()))
+        if self._prov is not None:
+            self.trace.add_access(True, task.tid, loc, self._site())
+            return
+        if task is not self._task:
+            self._task = task
+            self._task_idx = self._task_index[task.tid]
+        lid = self._loc_index.get(loc)
+        if lid is None:
+            lid = self._loc_index[loc] = len(self._locs)
+            self._locs.append(loc)
+        rows = self._rows
+        rows.append(1)
+        rows.append(self._task_idx)
+        rows.append(lid)
 
 
 class _ReplayTask:
@@ -144,140 +169,102 @@ def replay_trace(
 ) -> None:
     """Feed a recorded event stream to ``observers``.
 
-    ``trace`` may be a :class:`~repro.core.events.Trace` or **any**
-    iterable of events, including a one-shot generator: the loop below is
-    a single streaming pass and nothing is materialized, so replaying a
-    lazily-decoded multi-gigabyte trace holds one event at a time
-    (regression-tested with ``__len__``-less generator input).
+    ``trace`` may be a :class:`~repro.core.events.Trace` or any iterable of
+    events.  Replay dispatches straight from the trace's columns in one
+    loop, so a non-``Trace`` iterable is first encoded into a ``Trace``
+    (:func:`~repro.core.events.encode_trace`): replay no longer streams
+    one event at a time, and a one-shot generator is consumed whole before
+    the first observer call.
 
     The replay re-synthesizes the implicit bracket that
     :meth:`Runtime.run` emits: the main task and the root finish at the
     start; root finish end, main's task end, and shutdown at the end.
 
     ``provenance`` (a :class:`repro.obs.provenance.RaceProvenance`)
-    re-adopts the ``site`` labels recorded in the events before each
-    dispatch, so a detector replaying a provenance-recorded trace
-    attributes races exactly as the live run would.  Events recorded
-    without provenance (or pickled before the field existed) replay with
-    unknown sites; the default ``None`` keeps the dispatch closures
-    branch-free (this loop is the detector benchmarks' inner loop).
+    re-adopts the recorded site labels before each access, spawn and get,
+    and registers each spawn site, so a detector replaying a
+    provenance-recorded trace attributes races exactly as the live run
+    would.  Traces recorded without provenance replay with unknown sites.
     """
-    main = _ReplayTask(0, is_future=False, parent=None, ief=None)
-    root = _ReplayScope(0, owner=main, enclosing=None)
-    tasks: Dict[int, _ReplayTask] = {0: main}
-    scopes: Dict[int, _ReplayScope] = {0: root}
-
-    # Replay is the harness's inner loop (bench_detector_comparison runs
-    # millions of events through it), so events dispatch through a
-    # type-keyed table — one dict probe per event instead of walking an
-    # isinstance chain whose common cases (reads/writes) sat first only by
-    # convention.
-    def replay_read(event: ReadEvent) -> None:
-        task = tasks[event.task]
-        for ob in observers:
-            ob.on_read(task, event.loc)
-
-    def replay_write(event: WriteEvent) -> None:
-        task = tasks[event.task]
-        for ob in observers:
-            ob.on_write(task, event.loc)
-
-    def replay_task_create(event: TaskCreateEvent) -> None:
-        parent = tasks[event.parent]
-        ief = scopes[event.ief] if event.ief >= 0 else None
-        child = _ReplayTask(event.child, event.is_future, parent, ief)
-        tasks[event.child] = child
-        if ief is not None:
-            ief.joins.append(child)
-        for ob in observers:
-            ob.on_task_create(parent, child)
-
-    def replay_task_end(event: TaskEndEvent) -> None:
-        task = tasks[event.task]
-        for ob in observers:
-            ob.on_task_end(task)
-
-    def replay_get(event: GetEvent) -> None:
-        consumer, producer = tasks[event.consumer], tasks[event.producer]
-        for ob in observers:
-            ob.on_get(consumer, producer)
-
-    def replay_finish_start(event: FinishStartEvent) -> None:
-        owner = tasks[event.owner]
-        enclosing: Optional[_ReplayScope] = (
-            scopes[event.enclosing] if event.enclosing >= 0 else None
-        )
-        scope = _ReplayScope(event.fid, owner, enclosing)
-        scopes[event.fid] = scope
-        for ob in observers:
-            ob.on_finish_start(scope)
-
-    def replay_finish_end(event: FinishEndEvent) -> None:
-        scope = scopes[event.fid]
-        for ob in observers:
-            ob.on_finish_end(scope)
-
+    trace = encode_trace(trace)
+    access = trace.access
+    structure = trace.structure
+    runs = trace.runs
+    task_keys = trace.task_keys
+    locs = trace.locs
+    access_sites = trace.access_sites
+    structure_sites = trace.structure_sites
+    read_hooks = [ob.on_read for ob in observers]
+    write_hooks = [ob.on_write for ob in observers]
     prov = (
         provenance
         if provenance is not None and getattr(provenance, "enabled", False)
         else None
     )
-    if prov is not None:
-        # Provenance-aware shadows: adopt the recorded site, register the
-        # spawn site, then dispatch.  Defined only when requested so the
-        # default replay closures stay branch-free.
-        note = prov.note_replay_site
+    note = prov.note_replay_site if prov is not None else None
 
-        def replay_read(event: ReadEvent) -> None:  # noqa: F811
-            note(getattr(event, "site", None))
-            task = tasks[event.task]
-            for ob in observers:
-                ob.on_read(task, event.loc)
+    main = _ReplayTask(task_keys[0], is_future=False, parent=None, ief=None)
+    root = _ReplayScope(0, owner=main, enclosing=None)
+    tasks: List[_ReplayTask] = [main]  # dense task index -> stand-in
+    scopes: Dict[int, _ReplayScope] = {0: root}
 
-        def replay_write(event: WriteEvent) -> None:  # noqa: F811
-            note(getattr(event, "site", None))
-            task = tasks[event.task]
-            for ob in observers:
-                ob.on_write(task, event.loc)
-
-        def replay_task_create(event: TaskCreateEvent) -> None:  # noqa: F811
-            note(getattr(event, "site", None))
-            prov.spawn_sites[event.child] = prov.current_site
-            parent = tasks[event.parent]
-            ief = scopes[event.ief] if event.ief >= 0 else None
-            child = _ReplayTask(event.child, event.is_future, parent, ief)
-            tasks[event.child] = child
-            if ief is not None:
-                ief.joins.append(child)
-            for ob in observers:
-                ob.on_task_create(parent, child)
-
-        def replay_get(event: GetEvent) -> None:  # noqa: F811
-            note(getattr(event, "site", None))
-            consumer, producer = tasks[event.consumer], tasks[event.producer]
-            for ob in observers:
-                ob.on_get(consumer, producer)
-
-    handlers = {
-        ReadEvent: replay_read,
-        WriteEvent: replay_write,
-        TaskCreateEvent: replay_task_create,
-        TaskEndEvent: replay_task_end,
-        GetEvent: replay_get,
-        FinishStartEvent: replay_finish_start,
-        FinishEndEvent: replay_finish_end,
-    }
     for ob in observers:
         ob.on_init(main)
     for ob in observers:
         ob.on_finish_start(root)
 
-    handlers_get = handlers.get
-    for event in trace:
-        handler = handlers_get(type(event))
-        if handler is None:  # pragma: no cover - defensive
-            raise TypeError(f"unknown event {event!r}")
-        handler(event)
+    a = 0  # next access row
+    s = 0  # next structure tuple
+    for r in range(0, len(runs), 2):
+        count = runs[r + 1]
+        if runs[r] == RUN_ACCESS:
+            for k in range(a, a + count):
+                j = 3 * k
+                if note is not None:
+                    note(None if access_sites is None else access_sites[k])
+                task = tasks[access[j + 1]]
+                loc = locs[access[j + 2]]
+                for hook in write_hooks if access[j] else read_hooks:
+                    hook(task, loc)
+            a += count
+            continue
+        for k in range(s, s + count):
+            row = structure[k]
+            op = row[0]
+            if note is not None and (op == OP_TASK_CREATE or op == OP_GET):
+                note(None if structure_sites is None else structure_sites[k])
+            if op == OP_TASK_CREATE:
+                parent = tasks[row[1]]
+                ief = scopes[row[3]] if row[3] >= 0 else None
+                child = _ReplayTask(
+                    task_keys[len(tasks)], bool(row[2]), parent, ief
+                )
+                tasks.append(child)
+                if prov is not None:
+                    prov.spawn_sites[child.tid] = prov.current_site
+                if ief is not None:
+                    ief.joins.append(child)
+                for ob in observers:
+                    ob.on_task_create(parent, child)
+            elif op == OP_TASK_END:
+                task = tasks[row[1]]
+                for ob in observers:
+                    ob.on_task_end(task)
+            elif op == OP_GET:
+                consumer, producer = tasks[row[1]], tasks[row[2]]
+                for ob in observers:
+                    ob.on_get(consumer, producer)
+            elif op == OP_FINISH_START:
+                enclosing = scopes[row[3]] if row[3] >= 0 else None
+                scope = _ReplayScope(row[1], tasks[row[2]], enclosing)
+                scopes[row[1]] = scope
+                for ob in observers:
+                    ob.on_finish_start(scope)
+            else:  # OP_FINISH_END
+                scope = scopes[row[1]]
+                for ob in observers:
+                    ob.on_finish_end(scope)
+        s += count
 
     for ob in observers:
         ob.on_finish_end(root)
@@ -298,8 +285,9 @@ def replay_trace_parallel(
     """Two-phase parallel replay: check a recorded trace with the DTRG
     detector sharded over ``jobs`` workers.
 
-    Streams ``trace`` once (any iterable, like :func:`replay_trace`):
-    structure events build the DTRG sequentially, accesses are
+    ``trace`` is a :class:`~repro.core.events.Trace` or any event
+    iterable (encoded first, like :func:`replay_trace`): one pass over its
+    columns builds the DTRG from the structure events, accesses are
     epoch-stamped and hash-sharded by location, shards fan out via
     ``multiprocessing`` and a deterministic merge reproduces the
     sequential race list, summary text and structural counters

@@ -29,7 +29,10 @@ which is checked in up to two modes:
   with each other by transitivity; and each completed run must round-trip
   through
   :class:`~repro.memory.tracer.TraceRecorder`/:func:`replay_trace` with an
-  identical verdict (record-replay parity).
+  identical verdict (record-replay parity).  The ``dtrg[fast]`` row checks
+  the recorded trace with :func:`~repro.core.fastcheck.check_trace_fast`
+  (``racecheck --fast``): its racy set must equal the oracle's, and its
+  race list and ``summary()`` text the dtrg replay detector's.
 * **wild** (out-of-band handle registry, outside the model's guarantee):
   nothing may crash, and the exact detector — whose reachability needs no
   reference-flow assumption — must still match the oracle.  dtrg,
@@ -128,6 +131,13 @@ BACKENDS = {
 #: Detectors exercised in wild mode (refusals allowed for BACKENDS only;
 #: anything else that raises is a crash).
 WILD = (ORACLE,) + GENERAL + tuple(BACKENDS)
+#: Stats row for the batched fast checker behind ``racecheck --fast``: per
+#: scoped seed and per corpus entry, the trace recorded with
+#: :class:`~repro.memory.tracer.TraceRecorder` is checked by
+#: :func:`~repro.core.fastcheck.check_trace_fast`, which must report the
+#: oracle's racy set and the dtrg replay detector's race list and
+#: ``RaceReport.summary()`` text.
+FAST_NAME = "dtrg[fast]"
 #: Stats row for the two-phase sharded checker (``--jobs N``, N > 1):
 #: per scoped seed it re-checks the recorded trace at jobs ∈ {1, N} and
 #: must reproduce the sequential dtrg racy set *and* byte-identical
@@ -203,7 +213,7 @@ class FuzzStats:
     def detector_rows(self) -> List[Dict[str, object]]:
         order = (
             (ORACLE,) + GENERAL + RESTRICTED + tuple(ABLATIONS)
-            + tuple(BACKENDS) + (PARALLEL_NAME, RUNTIME_SERIAL)
+            + tuple(BACKENDS) + (FAST_NAME, PARALLEL_NAME, RUNTIME_SERIAL)
             + RUNTIME_ROWS
         )
         rows = []
@@ -353,6 +363,44 @@ def _parallel_predicate(jobs: int) -> Callable[[Program], bool]:
             return False
         return (set(result.racy_locations) != _verdict(live)
                 or result.summary() != sequential.report.summary())
+
+    return holds
+
+
+def _check_fast(trace, want: Set) -> Tuple[Set, Optional[str]]:
+    """Run the :data:`FAST_NAME` row on a recorded trace.
+
+    Returns the fast checker's racy set and ``None``, or a divergence
+    detail when it disagrees with ``want`` (the oracle's racy set) or with
+    the race list and summary text of a dtrg replay of the same trace.
+    """
+    from repro.core.fastcheck import check_trace_fast
+
+    result = check_trace_fast(trace)
+    got = set(result.racy_locations)
+    if got != want:
+        return got, (f"{FAST_NAME} {sorted(got, key=repr)} vs oracle "
+                     f"{sorted(want, key=repr)}")
+    replayed = DETECTORS["dtrg"]()
+    replay_trace(trace, [replayed])
+    if list(result.races) != list(replayed.races):
+        return got, f"{FAST_NAME} race list differs from the dtrg replay"
+    if result.summary() != replayed.report.summary():
+        return got, f"{FAST_NAME} summary differs from the dtrg replay"
+    return got, None
+
+
+def _fast_predicate() -> Callable[[Program], bool]:
+    """Reproduction check for a fast-checker divergence."""
+
+    def holds(candidate: Program) -> bool:
+        try:
+            oracle, trace = _run_live(ORACLE, candidate, scoped=True,
+                                      record=True)
+            _, detail = _check_fast(trace, _verdict(oracle))
+        except Exception:
+            return False
+        return detail is not None
 
     return holds
 
@@ -515,6 +563,22 @@ def check_seed(
                              f"(summary match: "
                              f"{result.summary() == seq_summary})")
 
+        stats.tally(FAST_NAME, "runs")
+        try:
+            got, detail = _check_fast(trace, want)
+        except Exception as exc:
+            stats.tally(FAST_NAME, "crashes")
+            fail("scoped", "crash", FAST_NAME,
+                 f"scoped:crash:{FAST_NAME}:{type(exc).__name__}",
+                 f"{type(exc).__name__}: {exc}")
+        else:
+            if got:
+                stats.tally(FAST_NAME, "racy")
+            if detail is not None:
+                stats.tally(FAST_NAME, "divergences")
+                fail("scoped", "divergence", FAST_NAME,
+                     f"scoped:divergence:{FAST_NAME}", detail)
+
         if runtimes:
             serial_mem = None
             for name in (RUNTIME_SERIAL,) + RUNTIME_ROWS:
@@ -641,6 +705,10 @@ def _shrink_failure(failure: FuzzFailure, budget: int) -> None:
         )
     elif failure.detector == PARALLEL_NAME:
         return  # parallel-crash repros are kept unminimized
+    elif failure.detector == FAST_NAME:
+        if failure.kind != "divergence":
+            return  # fast-checker crash repros are kept unminimized
+        predicate = _fast_predicate()
     elif failure.kind == "divergence":
         predicate = _divergence_predicate(failure.detector, scoped)
     elif failure.kind == "replay-divergence":
@@ -754,6 +822,9 @@ def replay_corpus(corpus_dir: Path, out=None) -> int:
             replay_trace(trace, [replayed])
             if _verdict(replayed) != _verdict(det):
                 problems.append(f"{name} replay parity broken")
+        _, detail = _check_fast(trace, want)
+        if detail is not None:
+            problems.append(detail)
         status = "ok" if not problems else "FAIL"
         print(f"corpus {entry.name}: {status}", file=out)
         for problem in problems:

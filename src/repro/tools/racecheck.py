@@ -53,8 +53,8 @@ the first race and has no live DTRG to certify witnesses from, so
 ``--detector`` must be ``dtrg``.
 
 ``--fast`` is the single-thread batched counterpart of ``--jobs``: the
-program runs once with only the trace recorder attached, the stream is
-lowered to an :class:`~repro.core.events.EncodedTrace` and checked by
+program runs once with only the trace recorder attached, which writes
+the columns of a :class:`~repro.core.events.Trace`, checked by
 ``check_trace_fast`` (``docs/ALGORITHM.md`` §13.3) — same race list,
 summary and exit code as the sequential ``--detector dtrg`` run, at
 1M+ access-checks/s.  The same restrictions as ``--jobs`` apply (dtrg
@@ -190,9 +190,9 @@ def main(argv: List[str] | None = None) -> int:
                              "fork where available, else spawn)")
     parser.add_argument("--fast", action="store_true",
                         help="check via the batched single-thread fast "
-                             "path: record the trace, lower it to an "
-                             "EncodedTrace, run check_trace_fast (dtrg "
-                             "only; identical races/summary/exit code)")
+                             "path: record the trace's columns, run "
+                             "check_trace_fast on them (dtrg only; "
+                             "identical races/summary/exit code)")
     parser.add_argument("--perfetto", metavar="FILE",
                         help="write a Chrome trace-event JSON "
                              "(Perfetto/chrome://tracing)")

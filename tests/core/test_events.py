@@ -57,3 +57,38 @@ def test_load_rejects_non_trace(tmp_path):
         pickle.dump([1, 2, 3], fh)
     with pytest.raises(TypeError):
         Trace.load(path)
+
+
+def test_load_event_list_pickle(tmp_path):
+    """A trace pickled by the event-list ``Trace`` of earlier versions
+    (state ``{'events': [...]}``) loads by re-encoding its events."""
+    import copyreg
+    import pickle
+
+    events = list(sample_trace())
+
+    class EventListPickler(pickle.Pickler):
+        """Writes a ``Trace`` exactly as the old dataclass pickled."""
+
+        def reducer_override(self, obj):
+            if type(obj) is Trace:
+                return copyreg.__newobj__, (Trace,), {"events": events}
+            return NotImplemented
+
+    path = tmp_path / "old.pkl"
+    with open(path, "wb") as fh:
+        EventListPickler(fh, protocol=pickle.HIGHEST_PROTOCOL).dump(Trace())
+    loaded = Trace.load(path)
+    assert loaded == sample_trace()
+    assert loaded.events == events
+    assert loaded.counts() == (1, 1, 2)
+
+
+def test_rows_appended_after_a_read_are_seen():
+    trace = sample_trace()
+    assert len(trace.access) == 6  # the read moves pending rows over
+    trace.append(WriteEvent(task=0, loc=("y", 1)))
+    assert len(trace) == 5
+    assert list(trace.access[-3:]) == [1, 0, 1]
+    assert trace.events[-1] == WriteEvent(task=0, loc=("y", 1))
+    assert list(trace.runs) == [1, 1, 0, 1, 1, 1, 0, 2]

@@ -292,3 +292,44 @@ def test_planted_parallel_divergence_is_flagged(monkeypatch):
     assert any(f.kind == "parallel-divergence" for f in failures)
     row = stats.per_detector[fuzz.PARALLEL_NAME]
     assert row["divergences"] > 0
+
+
+def test_fast_row_runs_on_every_scoped_seed():
+    from io import StringIO
+
+    stats, failures = fuzz.fuzz_range(
+        range(0, 8), modes=("scoped",), shrink=False, out=StringIO(),
+    )
+    assert failures == []
+    row = stats.per_detector[fuzz.FAST_NAME]
+    assert row["runs"] == 8
+    assert row["divergences"] == 0 and row["crashes"] == 0
+    assert row["racy"] > 0
+    assert fuzz.FAST_NAME in [r["detector"] for r in stats.detector_rows()]
+
+
+def test_planted_fast_divergence_is_flagged_and_minimized(monkeypatch):
+    """A fast checker that loses races must surface as a dtrg[fast]
+    divergence, be minimized, and turn the corpus gate red."""
+    from io import StringIO
+
+    from repro.core import fastcheck as fastcheck_mod
+
+    monkeypatch.setattr(
+        fastcheck_mod, "check_trace_fast",
+        lambda trace, **kwargs: fastcheck_mod.FastCheckResult(),
+    )
+    stats, failures = fuzz.fuzz_range(
+        range(0, 8), modes=("scoped",), shrink=False, out=StringIO(),
+    )
+    fast_failures = [f for f in failures if f.detector == fuzz.FAST_NAME]
+    assert fast_failures and fast_failures[0].kind == "divergence"
+    assert stats.per_detector[fuzz.FAST_NAME]["divergences"] > 0
+
+    failure = fast_failures[0]
+    fuzz._shrink_failure(failure, budget=300)
+    assert failure.minimized is not None
+    assert count_stmts(failure.minimized.body) <= count_stmts(
+        failure.program.body
+    )
+    assert fuzz.replay_corpus(CORPUS_DIR, out=StringIO()) > 0

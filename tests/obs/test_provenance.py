@@ -164,6 +164,41 @@ class TestReplayProvenance:
         assert race.current_site and "(program)" in race.current_site
         assert det.witnesses and det.witnesses[0].certificate["verdict"] is False
 
+    def test_sites_survive_save_load_replay(self, tmp_path):
+        """Spawn and get sites ride in the trace's ``structure_sites``
+        column next to the access sites, through save/load: replaying
+        the loaded trace attributes races and spawn sites exactly like
+        the live run."""
+        from repro.core.events import Trace
+
+        live_prov = RaceProvenance()
+        recorder = TraceRecorder(provenance=live_prov)
+        live = run_racy(live_prov, extra_observers=[recorder])
+        path = tmp_path / "trace.pkl"
+        recorder.trace.save(path)
+        loaded = Trace.load(path)
+        assert loaded == recorder.trace
+        assert loaded.structure_sites is not None
+        assert loaded.access_sites is not None
+
+        replay_prov = RaceProvenance()
+        det = DeterminacyRaceDetector(provenance=replay_prov)
+        replay_trace(loaded, [det], provenance=replay_prov)
+
+        def attribution(d):
+            return [(r.pair_key, r.prev_site, r.current_site, r.witness_id)
+                    for r in d.report]
+
+        assert attribution(det) == attribution(live)
+        assert ([(w.prev_site, w.current_site, w.certificate)
+                 for w in det.witnesses]
+                == [(w.prev_site, w.current_site, w.certificate)
+                    for w in live.witnesses])
+        for tid in loaded.task_keys[1:]:
+            assert replay_prov.spawn_site_label(tid) is not None
+            assert (replay_prov.spawn_site_label(tid)
+                    == live_prov.spawn_site_label(tid))
+
     def test_replay_without_provenance_still_detects(self):
         recorder = TraceRecorder()
         run_racy(extra_observers=[recorder])

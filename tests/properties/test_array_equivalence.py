@@ -8,8 +8,8 @@ Four properties over 200 generated programs (ALGORITHM.md §13):
 2. **Freeze equivalence** — ``DTRGSnapshot.freeze`` of the array graph
    (the ``snapshot_state`` near-memcpy path) answers every pair exactly
    like the snapshot frozen from the object graph.
-3. **Fast-path equivalence** — ``check_trace_fast`` over the batched
-   ``EncodedTrace`` reproduces the sequential replay byte-for-byte:
+3. **Fast-path equivalence** — ``check_trace_fast`` over the recorded
+   ``Trace`` columns reproduces the sequential replay byte-for-byte:
    same ``summary()``, same race list in the same order, same racy
    locations, same invariant ``DetectorPerf`` counters, same
    ``#AvgReaders``.

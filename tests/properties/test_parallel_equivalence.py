@@ -8,9 +8,9 @@ Three properties over ≥200 generated programs (ALGORITHM.md §12):
    reproduces the sequential replay detector byte-for-byte: same race
    list in the same order, same ``summary()`` text, same racy locations,
    same job-count-invariant ``DetectorPerf`` counters.
-3. **Encoded-input equivalence** — feeding the same trace as an
-   :class:`~repro.core.events.EncodedTrace` reproduces the event-list
-   build byte-for-byte at every job count.
+3. **Encoded-input equivalence** — the recorded
+   :class:`~repro.core.events.Trace` and its decoded event list (encoded
+   again on input) check byte-for-byte alike at every job count.
 
 Shard assignment is by location hash and workers replay the structure
 log independently, so any soundness slip (e.g. answering from the
@@ -88,13 +88,13 @@ def test_parallel_equivalence_fuzz(band):
 
 @pytest.mark.parametrize("band", range(0, NUM_SEEDS, 40))
 def test_encoded_trace_input_equivalence_fuzz(band):
-    """``check_trace_parallel`` consumes :class:`EncodedTrace` blocks
-    directly (no per-event object decode in the build phase) and must
-    stay byte-identical to the event-list path at every job count: same
+    """``check_trace_parallel`` consumes the recorded :class:`Trace`
+    columns directly and must stay byte-identical to checking the decoded
+    event list (re-encoded on input) at every job count: same
     ``summary()`` text, same ordered race list, same racy locations, the
-    *whole* ``perf_stats`` dict, and the same event totals.  The encoded
-    build stores task *keys* in shard buckets — a dense-index slip there
-    shows up as a post-remap divergence here."""
+    *whole* ``perf_stats`` dict, and the same event totals.  The build
+    stores task *keys* in shard buckets — a dense-index slip there shows
+    up as a post-remap divergence here."""
     from repro.core.events import encode_trace
 
     racy_seeds = 0
@@ -102,7 +102,7 @@ def test_encoded_trace_input_equivalence_fuzz(band):
         rec = TraceRecorder()
         run_program(random_program(random.Random(seed)), [rec])
         trace = rec.trace
-        encoded = encode_trace(trace)
+        encoded = encode_trace(list(trace))
         for jobs in JOBS:
             want = check_trace_parallel(trace, jobs=jobs, backend="inline")
             got = check_trace_parallel(encoded, jobs=jobs, backend="inline")
