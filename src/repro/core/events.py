@@ -22,8 +22,8 @@ Observers shipped with this library:
 
 A :class:`Trace` is columnar: the recorder's hooks write integer access
 rows, structure tuples and interned location ids straight into it, and
-every consumer (the fast checker, the sharded builder, replay) reads those
-columns — there is no per-event object and no second lowering pass.  The
+every consumer (the fast checker, replay) reads those columns — there is
+no per-event object and no second lowering pass.  The
 event dataclasses below remain the vocabulary for hand-built traces
 (:meth:`Trace.append`) and what iterating a trace decodes to.
 
@@ -172,9 +172,9 @@ Event = Union[
 # Recorded traces: integer columns                                       #
 #
 # A :class:`Trace` stores the stream in the flat form the checkers
-# consume, so the fast checker (:mod:`repro.core.fastcheck`), the sharded
-# builder and :func:`repro.memory.tracer.replay_trace` iterate it without
-# touching a Python object per event, and nothing lowers it a second time:
+# consume, so the fast checker (:mod:`repro.core.fastcheck`) and
+# :func:`repro.memory.tracer.replay_trace` iterate it without touching a
+# Python object per event, and nothing lowers it a second time:
 #
 # * task ids are renumbered to *dense indices* in creation order (main
 #   task = index 0, each task creation appends the next index) — the same

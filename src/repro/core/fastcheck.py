@@ -5,9 +5,10 @@
 :class:`~repro.core.events.Trace` in which *structure* events
 mutate a live :class:`~repro.core.array_dtrg.ArrayDTRG` in place and
 *access* events run Algorithms 8-9 over compact integer-indexed shadow
-state — no per-event Python objects, no replay stand-ins, no epoch
-journal (the graph itself is always at the current epoch, unlike the
-sharded checker which must rewind).
+state — no per-event Python objects and no replay stand-ins.  The graph
+is mutated in trace order, so every access is checked against the DTRG
+as it stood at that access, never against the finished graph (which
+would hide races, see ``docs/ALGORITHM.md`` §12).
 
 The shadow state is the structure-of-arrays form of
 :class:`~repro.core.shadow.ShadowMemory`'s cells, indexed by interned
@@ -20,8 +21,9 @@ location id:
 * ``fast_reader[loc]`` / ``fast_epoch[loc]`` — the epoch-memoized
   same-task read fast path.
 
-Equivalence contract (same as the sharded checker's, pinned by
-``tests/properties/test_array_equivalence.py`` and the golden tests):
+Equivalence contract (pinned by
+``tests/properties/test_array_equivalence.py``, the golden tests and the
+``dtrg[fast]`` fuzz row):
 race list, detection order, ``RaceReport.summary()``, ``#AvgReaders`` and
 the invariant ``DetectorPerf`` counters (``precede_queries``,
 ``mutation_epoch``, ``shadow_fast_hits``, ``precede_calls_saved``) are
@@ -36,8 +38,8 @@ bench surfaces (``structure_seconds`` vs ``access_seconds``) falls out of
 timestamping block boundaries instead of single events.
 
 Provenance sites recorded in the trace ride along: races carry the two
-accesses' site labels exactly like the sharded checker's attribution
-(witness *certificates* are sequential-replay-only, as before).
+accesses' site labels exactly like a detector replaying the trace with
+provenance attached (witness *certificates* are sequential-replay-only).
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ _KIND = {
 
 
 class FastCheckResult:
-    """Outcome of a fast single-pass check, duck-typed like
-    :class:`~repro.core.parallel_check.ParallelCheckResult` where the
+    """Outcome of a fast single-pass check, duck-typed like a
+    :class:`~repro.core.detector.DeterminacyRaceDetector` where the
     harness/CLI consume it (``report``, ``races``, ``racy_locations``,
     ``perf_stats``, ``avg_readers``, ``summary()``), plus the live
-    :class:`ArrayDTRG` (``dtrg``) for freezing/introspection."""
+    :class:`ArrayDTRG` (``dtrg``) for introspection."""
 
     def __init__(self) -> None:
         self.report = RaceReport(dedupe=True)
@@ -214,7 +216,7 @@ def check_trace_fast(
 
     def _report(kind: str, prev: int, cur: int, lid: int, row: int) -> None:
         # Rare path: build the Race exactly as the sequential detector
-        # would, with site attribution mirroring the sharded workers'.
+        # would, with the sites a provenance-attached replay would adopt.
         if kind == "read-write":
             prev_site = read_sites.get(lid, {}).get(prev)
         else:
@@ -425,7 +427,7 @@ def check_trace_fast(
             structure_seconds += perf_counter() - t_blk
 
     # Implicit closing bracket: root finish end, then main terminates
-    # (mirrors replay_trace / the sharded build phase).
+    # (mirrors replay_trace).
     t_blk = perf_counter()
     owner, joins = scopes[0]
     for tid in joins:

@@ -23,52 +23,24 @@ Schema (``repro.bench/1``)::
        "slowdown_vs_seq": ..., "slowdown_vs_instrumented": ...,
        "races": ..., "structural": {...}, "detector_perf": {...}}, ...]}
 
-``--parallel`` switches to the two-phase sharded checker benchmark
-(``docs/ALGORITHM.md`` §12) and writes ``BENCH_PR5.json`` by default:
-each workload's trace is recorded once, then checked at every ``--jobs``
-count, recording per-count wall times, speedup over jobs=1, the
-snapshot-freeze overhead (seconds and bytes/task), and whether every
-count reproduced the jobs=1 summary and counters byte-for-byte
-(``identical_across_jobs`` — the determinism contract)::
-
-    repro-bench --parallel --scale small --jobs 1,2,4 --output BENCH_PR5.json
-
-Schema (``repro.bench.parallel/1``)::
-
-    {"schema": "repro.bench.parallel/1", "scale": ..., "repeats": ...,
-     "cpu_count": ..., "tag": ..., "workloads": [{"name": ...,
-       "num_events": ..., "num_access_events": ..., "num_tasks": ...,
-       "races": ..., "freeze_seconds": ..., "snapshot_bytes": ...,
-       "bytes_per_task": ..., "identical_across_jobs": ...,
-       "jobs": [{"jobs": 1, "seconds": ..., "check_seconds": ...,
-                 "freeze_seconds": ..., "speedup": ...}, ...]}, ...]}
-
-On a single-core box (``os.cpu_count() == 1``) the parallel document is
-additionally tagged ``"speedup_valid": false`` and a loud warning is
-printed: multi-job wall times there measure sharding *overhead*, never
-speedup, and must not be read as regressions.
-
-``--throughput`` races the three single-thread checking engines
-back-to-back over each workload's recorded trace — live object-graph
-replay, the PR 5 snapshot checker at jobs=1, and the PR 6 flat-array
-fast path (:func:`repro.core.fastcheck.check_trace_fast`) — and writes
+``--throughput`` races the two single-thread checking engines
+back-to-back over each workload's recorded trace — ``replay_trace``
+into the object-graph detector, and the flat-array fast path
+(:func:`repro.core.fastcheck.check_trace_fast`) — and writes
 ``BENCH_PR6.json`` by default::
 
     repro-bench --throughput --scale large --only Jacobi
 
-Schema (``repro.bench.throughput/1``)::
+Schema (``repro.bench.throughput/2``)::
 
-    {"schema": "repro.bench.throughput/1", "scale": ..., "repeats": ...,
+    {"schema": "repro.bench.throughput/2", "scale": ..., "repeats": ...,
      "cpu_count": ..., "tag": ..., "workloads": [{"name": ...,
        "num_events": ..., "num_access_events": ..., "races": ...,
        "sequential_replay": {"seconds": ..., "events_per_second": ...},
-       "snapshot_jobs1": {"check_seconds": ..., "total_seconds": ...,
-                          "access_events_per_second": ...},
        "fast": {"encode_seconds": ..., "structure_seconds": ...,
                 "access_seconds": ..., "total_seconds": ...,
                 "events_per_second": ...,
                 "access_events_per_second": ...},
-       "speedup_access_vs_snapshot_jobs1": ...,
        "speedup_total_vs_replay": ...,
        "identical": ..., "mismatches": [...]}, ...]}
 
@@ -115,10 +87,9 @@ parity gate: every runtime must report exactly the serial elision's
 racy-location set and task count (``identical``).  The AsyncioRuntime
 has no row — workload kernels use the synchronous blocking ``get()``
 style the cooperative runtime rejects by design; its parity coverage
-lives in ``repro-fuzz --runtimes`` and the property sweep.  As with
-``--parallel``, a 1-core box tags the artifact
-``"speedup_valid": false`` — thread rows there measure scheduling
-overhead, not parallelism.
+lives in ``repro-fuzz --runtimes`` and the property sweep.  A 1-core
+box tags the artifact ``"speedup_valid": false`` — thread rows there
+measure scheduling overhead, not parallelism.
 
 Schema (``repro.bench.executors/1``)::
 
@@ -163,21 +134,21 @@ stderr progress line; the progress counter ticks once per completed
 workload row.
 
 ``--baseline FILE`` (throughput mode) gates against a checked-in
-baseline (``benchmarks/throughput_baseline.json``): the run fails if any
-workload's fast-path ``access_events_per_second`` drops more than 10%
-below the baseline value, or if its speedup over the same-process
-snapshot baseline falls below the recorded floor.  Baseline absolute
-numbers are deliberately conservative — shared-CI wall clocks vary
-severalfold — while the speedup floor is box-speed-independent.  With
+baseline (``benchmarks/throughput_baseline.json``, schema
+``repro.bench.throughput-baseline/2``): the run fails if any workload's
+fast-path ``access_events_per_second`` drops more than 10% below the
+baseline value, or if its ``speedup_total_vs_replay`` falls below the
+recorded ``min_speedup_vs_replay`` floor.  Baseline absolute numbers are
+deliberately conservative — shared-CI wall clocks vary severalfold —
+while the speedup floor is box-speed-independent.  With
 ``--backends`` the same flag gates the **dtrg rows only** against
 ``benchmarks/backends_baseline.json`` (conservative
 ``dtrg_events_per_second`` floors at the baseline's scale); the other
 engines are compared for verdict identity, never for speed.
 
 Exit status: 0 on success, 1 if any workload failed verification or
-raised (or, with ``--parallel``, broke the determinism contract; or,
-with ``--throughput``, broke bit-equivalence or the ``--baseline``
-gate), 2 on usage errors.
+raised (or, with ``--throughput``, broke bit-equivalence or the
+``--baseline`` gate), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -189,6 +160,7 @@ import sys
 from dataclasses import asdict
 from typing import List, Optional, Sequence
 
+from repro.cli import PORT, POSITIVE_INT
 from repro.harness.runner import (
     BACKEND_ENGINES,
     BENCHMARKS,
@@ -196,7 +168,6 @@ from repro.harness.runner import (
     run_backend_benchmark,
     run_benchmark,
     run_executor_benchmark,
-    run_parallel_benchmark,
     run_telemetry_benchmark,
     run_throughput_benchmark,
 )
@@ -206,7 +177,6 @@ __all__ = [
     "backend_bench_data",
     "backends_markdown",
     "executor_bench_data",
-    "parallel_bench_data",
     "telemetry_bench_data",
     "throughput_bench_data",
     "check_backends_baseline",
@@ -217,9 +187,9 @@ __all__ = [
 BENCH_SCHEMA = "repro.bench/1"
 BACKEND_BENCH_SCHEMA = "repro.bench.backends/1"
 EXECUTOR_BENCH_SCHEMA = "repro.bench.executors/1"
-PARALLEL_BENCH_SCHEMA = "repro.bench.parallel/1"
 TELEMETRY_BENCH_SCHEMA = "repro.bench.telemetry/1"
-THROUGHPUT_BENCH_SCHEMA = "repro.bench.throughput/1"
+THROUGHPUT_BENCH_SCHEMA = "repro.bench.throughput/2"
+THROUGHPUT_BASELINE_SCHEMA = "repro.bench.throughput-baseline/2"
 
 
 def _tick(progress) -> None:
@@ -308,102 +278,6 @@ def bench_data(
     return data
 
 
-def parallel_bench_data(
-    names: List[str],
-    *,
-    scale: str = "tiny",
-    jobs: Sequence[int] = (1, 2, 4),
-    repeats: int = 1,
-    verify: bool = True,
-    backend: Optional[str] = None,
-    tag: Optional[str] = None,
-    out=None,
-    progress=None,
-) -> dict:
-    """Run ``names`` through the sharded checker and assemble the
-    ``repro.bench.parallel/1`` document.  ``cpu_count`` is recorded so a
-    reader can judge the speedup numbers honestly — on a 1-core box the
-    fan-out cannot beat jobs=1 and the artifact says so."""
-    workloads: List[dict] = []
-    for name in names:
-        try:
-            result = run_parallel_benchmark(
-                name, scale, jobs=tuple(jobs), repeats=repeats,
-                verify=verify, backend=backend,
-            )
-        except Exception as exc:
-            print(f"bench {name}: FAILED — {type(exc).__name__}: {exc}",
-                  file=out or sys.stderr)
-            workloads.append({
-                "name": name,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-            _tick(progress)
-            continue
-        workloads.append({
-            "name": name,
-            "scale": result.scale,
-            "num_events": result.num_events,
-            "num_access_events": result.num_access_events,
-            "num_tasks": result.num_tasks,
-            "num_locations": result.num_locations,
-            "races": result.races,
-            "freeze_seconds": result.freeze_seconds,
-            "snapshot_bytes": result.snapshot_bytes,
-            "bytes_per_task": round(result.bytes_per_task, 2),
-            "identical_across_jobs": result.identical,
-            "jobs": [
-                {
-                    "jobs": n,
-                    "seconds": result.per_jobs[n]["seconds"],
-                    "check_seconds": result.per_jobs[n]["check_seconds"],
-                    "freeze_seconds": result.per_jobs[n]["freeze_seconds"],
-                    "build_seconds": result.per_jobs[n]["build_seconds"],
-                    "speedup": round(result.per_jobs[n]["speedup"], 4),
-                    "events_per_second": round(
-                        result.per_jobs[n]["events_per_second"], 1
-                    ),
-                    "access_events_per_second": round(
-                        result.per_jobs[n]["access_events_per_second"], 1
-                    ),
-                }
-                for n in jobs
-            ],
-        })
-        _tick(progress)
-        fastest = max(jobs, key=lambda n: result.per_jobs[n]["speedup"])
-        print(
-            f"bench {name}: {result.num_access_events} accesses, "
-            f"jobs=1 {result.per_jobs[jobs[0]]['seconds'] * 1e3:.1f} ms, "
-            f"best x{result.per_jobs[fastest]['speedup']:.2f} at "
-            f"jobs={fastest}, freeze {result.freeze_seconds * 1e3:.2f} ms "
-            f"({result.bytes_per_task:.0f} B/task), "
-            f"identical={result.identical}",
-            file=out,
-        )
-    cpu_count = os.cpu_count() or 1
-    data = {
-        "schema": PARALLEL_BENCH_SCHEMA,
-        "scale": scale,
-        "repeats": repeats,
-        "cpu_count": cpu_count,
-        "speedup_valid": cpu_count > 1,
-        "workloads": workloads,
-    }
-    if cpu_count <= 1:
-        print(
-            "=" * 72 + "\n"
-            "WARNING: cpu_count == 1 — multi-job wall times on this box\n"
-            "measure sharding OVERHEAD, not speedup.  The artifact is\n"
-            'tagged "speedup_valid": false; do not read sub-1.0 speedups\n'
-            "here as regressions.\n" + "=" * 72,
-            file=out or sys.stderr,
-        )
-    if tag is not None:
-        data["tag"] = tag
-    return data
-
-
 def throughput_bench_data(
     names: List[str],
     *,
@@ -415,7 +289,7 @@ def throughput_bench_data(
     progress=None,
 ) -> dict:
     """Run ``names`` through the single-thread engine race and assemble
-    the ``repro.bench.throughput/1`` document (see module docstring)."""
+    the ``repro.bench.throughput/2`` document (see module docstring)."""
     workloads: List[dict] = []
     for name in names:
         try:
@@ -447,13 +321,6 @@ def throughput_bench_data(
                     result.replay_events_per_second, 1
                 ),
             },
-            "snapshot_jobs1": {
-                "check_seconds": result.snapshot_check_seconds,
-                "total_seconds": result.snapshot_total_seconds,
-                "access_events_per_second": round(
-                    result.snapshot_access_events_per_second, 1
-                ),
-            },
             "fast": {
                 "encode_seconds": ft.get("encode_seconds", 0.0),
                 "structure_seconds": ft.get("structure_seconds", 0.0),
@@ -466,9 +333,6 @@ def throughput_bench_data(
                     result.fast_access_events_per_second, 1
                 ),
             },
-            "speedup_access_vs_snapshot_jobs1": round(
-                result.speedup_access_vs_snapshot, 4
-            ),
             "speedup_total_vs_replay": round(
                 result.speedup_total_vs_replay, 4
             ),
@@ -479,11 +343,8 @@ def throughput_bench_data(
         print(
             f"bench {name}: {result.num_access_events} accesses — "
             f"replay {result.replay_events_per_second / 1e3:.0f}k ev/s, "
-            f"snapshot jobs=1 "
-            f"{result.snapshot_access_events_per_second / 1e3:.0f}k acc/s, "
             f"fast {result.fast_access_events_per_second / 1e3:.0f}k acc/s "
-            f"(x{result.speedup_access_vs_snapshot:.2f} access, "
-            f"x{result.speedup_total_vs_replay:.2f} end-to-end), "
+            f"(x{result.speedup_total_vs_replay:.2f} vs replay), "
             f"identical={result.identical}",
             file=out,
         )
@@ -794,20 +655,30 @@ def check_backends_baseline(data: dict, baseline: dict, out=None) -> List[str]:
 
 
 def check_throughput_baseline(data: dict, baseline: dict, out=None) -> List[str]:
-    """Compare a ``repro.bench.throughput/1`` document against a
-    checked-in baseline; return a list of violation strings (empty = ok).
+    """Compare a ``repro.bench.throughput/2`` document against a
+    checked-in ``repro.bench.throughput-baseline/2`` baseline; return a
+    list of violation strings (empty = ok).
 
     Two gates per workload named in the baseline:
 
     * ``access_events_per_second`` — absolute floor with 10% tolerance.
       Baseline values are recorded conservatively (well below a healthy
       run) because shared-CI wall clocks vary severalfold.
-    * ``min_speedup_vs_snapshot`` — the fast path's access-throughput
-      ratio over the same-process PR 5 jobs=1 checker.  Box-speed
-      cancels out of the ratio, so this is the sharper gate.
+    * ``min_speedup_vs_replay`` — floor on ``speedup_total_vs_replay``,
+      ``replay_trace`` into the object-graph detector over the fast
+      path's total wall time on the same trace in the same process.
+      Box speed cancels out of the ratio, so this is the sharper gate.
+
+    A baseline of another schema is itself a violation, so a stale file
+    cannot silently drop a gate.
     """
     rows = {w.get("name"): w for w in data.get("workloads", [])}
     violations: List[str] = []
+    if baseline.get("schema") != THROUGHPUT_BASELINE_SCHEMA:
+        violations.append(
+            f"baseline schema {baseline.get('schema')!r} is not "
+            f"{THROUGHPUT_BASELINE_SCHEMA!r}"
+        )
     for name, gate in baseline.get("workloads", {}).items():
         row = rows.get(name)
         if row is None or "error" in row:
@@ -821,12 +692,12 @@ def check_throughput_baseline(data: dict, baseline: dict, out=None) -> List[str]
                     f"{name}: fast access throughput {measured:.0f} ev/s "
                     f"regressed >10% below baseline {floor:.0f} ev/s"
                 )
-        min_speedup = gate.get("min_speedup_vs_snapshot")
+        min_speedup = gate.get("min_speedup_vs_replay")
         if min_speedup is not None:
-            measured = row["speedup_access_vs_snapshot_jobs1"]
+            measured = row["speedup_total_vs_replay"]
             if measured < min_speedup:
                 violations.append(
-                    f"{name}: speedup vs snapshot jobs=1 {measured:.2f} "
+                    f"{name}: speedup vs replay {measured:.2f} "
                     f"below floor {min_speedup:.2f}"
                 )
     for violation in violations:
@@ -847,16 +718,16 @@ def _parse_scales_list(text: str) -> List[str]:
     return scales
 
 
-def _parse_jobs_list(text: str) -> List[int]:
+def _parse_workers_list(text: str) -> List[int]:
     try:
-        jobs = [int(part) for part in text.split(",") if part.strip()]
+        workers = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated job counts, got {text!r}")
-    if not jobs or any(n < 1 for n in jobs):
+            f"expected comma-separated pool sizes, got {text!r}")
+    if not workers or any(n < 1 for n in workers):
         raise argparse.ArgumentTypeError(
-            f"job counts must be positive, got {text!r}")
-    return jobs
+            f"pool sizes must be positive, got {text!r}")
+    return workers
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -866,18 +737,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--scale", default="tiny",
                         choices=("tiny", "small", "table2", "large"))
-    parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--repeats", type=POSITIVE_INT, default=1)
     parser.add_argument("--output", metavar="FILE", default=None,
-                        help="artifact path (default BENCH_PR4.json, "
-                             "BENCH_PR5.json with --parallel, or "
-                             "BENCH_PR6.json with --throughput)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="benchmark the two-phase sharded checker "
-                             "instead of the live detector")
+                        help="artifact path (default BENCH_PR4.json; "
+                             "BENCH_PR6.json to BENCH_PR9.json in the "
+                             "other modes)")
     parser.add_argument("--throughput", action="store_true",
                         help="race the single-thread checking engines "
-                             "(live replay / snapshot jobs=1 / flat-array "
-                             "fast path) over each recorded trace")
+                             "(replay into the object-graph detector / "
+                             "flat-array fast path) over each recorded "
+                             "trace")
     parser.add_argument("--backends", action="store_true",
                         help="race every PRECEDE backend (dtrg / array / "
                              "depa / vc) over each recorded trace")
@@ -894,7 +763,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="with --telemetry: fail if any workload's "
                              "served leg is more than PCT%% slower than "
                              "its detached leg (default 5)")
-    parser.add_argument("--serve-metrics", dest="serve_metrics", type=int,
+    parser.add_argument("--serve-metrics", dest="serve_metrics", type=PORT,
                         default=None, metavar="PORT",
                         help="serve live /metrics + /snapshot for the "
                              "bench run itself (0 picks an ephemeral "
@@ -903,7 +772,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="SECS",
                         help="print a stderr progress line every SECS "
                              "seconds while the sweep runs (0 disables)")
-    parser.add_argument("--workers", type=_parse_jobs_list,
+    parser.add_argument("--workers", type=_parse_workers_list,
                         default=[1, 2, 4], metavar="N,N,...",
                         help="pool sizes for --executors (default 1,2,4)")
     parser.add_argument("--scales", type=_parse_scales_list, default=None,
@@ -918,13 +787,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "fast-path (or dtrg-row) throughput "
                              "regresses >10%% below this checked-in "
                              "baseline")
-    parser.add_argument("--jobs", type=_parse_jobs_list, default=[1, 2, 4],
-                        metavar="N,N,...",
-                        help="job counts for --parallel (default 1,2,4)")
-    parser.add_argument("--parallel-backend", dest="parallel_backend",
-                        default=None,
-                        choices=("auto", "fork", "spawn", "inline"),
-                        help="worker dispatch for --parallel")
     parser.add_argument("--tag", default=None,
                         help="free-form label recorded in the document "
                              "(e.g. a commit hash)")
@@ -947,10 +809,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         names = args.only
 
-    if sum((args.parallel, args.throughput, args.backends,
-            args.executors, args.telemetry)) > 1:
-        print("error: --parallel, --throughput, --backends, --executors "
-              "and --telemetry are mutually exclusive", file=sys.stderr)
+    if sum((args.throughput, args.backends, args.executors,
+            args.telemetry)) > 1:
+        print("error: --throughput, --backends, --executors and "
+              "--telemetry are mutually exclusive", file=sys.stderr)
         return 2
     if args.heartbeat < 0:
         print("error: --heartbeat must be >= 0", file=sys.stderr)
@@ -969,15 +831,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     telemetry = None
     if args.serve_metrics is not None or args.heartbeat > 0:
-        from repro.obs.live import LiveTelemetry
+        from repro.obs.live import start_telemetry
 
-        telemetry = LiveTelemetry(
+        telemetry = start_telemetry(
             port=args.serve_metrics, heartbeat=args.heartbeat,
         )
-        telemetry.start()
-        if telemetry.url:
-            print(f"serving live metrics at {telemetry.url}/metrics "
-                  f"(snapshot: {telemetry.url}/snapshot)", file=sys.stderr)
         rows = len(names) * (
             len(args.scales or [args.scale]) if args.backends else 1
         )
@@ -1003,14 +861,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 names, scale=args.scale, workers=args.workers,
                 repeats=args.repeats, verify=not args.no_verify,
                 tag=args.tag, progress=progress,
-            )
-        elif args.parallel:
-            output = args.output or "BENCH_PR5.json"
-            data = parallel_bench_data(
-                names, scale=args.scale, jobs=args.jobs,
-                repeats=args.repeats, verify=not args.no_verify,
-                backend=args.parallel_backend, tag=args.tag,
-                progress=progress,
             )
         elif args.throughput:
             output = args.output or "BENCH_PR6.json"
@@ -1039,10 +889,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
     failed = [w["name"] for w in data["workloads"] if "error" in w]
-    nondeterministic = [
+    not_identical = [
         w["name"] for w in data["workloads"]
-        if not (w.get("identical_across_jobs", True)
-                and w.get("identical", True))
+        if not w.get("identical", True)
     ]
     violations: List[str] = []
     if args.baseline:
@@ -1064,16 +913,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             violations.append(violation)
             print(f"gate: {violation}", file=sys.stderr)
     print(f"{len(data['workloads'])} workload(s) written to {output}")
-    if nondeterministic:
-        print(f"error: non-identical results across engines/job counts: "
-              f"{', '.join(nondeterministic)}", file=sys.stderr)
+    if not_identical:
+        print(f"error: non-identical results across engines: "
+              f"{', '.join(not_identical)}", file=sys.stderr)
     if failed:
         print(f"error: {len(failed)} workload(s) failed: "
               f"{', '.join(failed)}", file=sys.stderr)
     if violations:
         print(f"error: {len(violations)} gate/baseline violation(s)",
               file=sys.stderr)
-    return 1 if failed or nondeterministic or violations else 0
+    return 1 if failed or not_identical or violations else 0
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ the paper's three configurations:
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -36,7 +37,6 @@ __all__ = [
     "BenchmarkDef",
     "BenchmarkResult",
     "BackendBenchResult",
-    "ParallelBenchResult",
     "ThroughputBenchResult",
     "BENCHMARKS",
     "EXTENDED_BENCHMARKS",
@@ -45,7 +45,6 @@ __all__ = [
     "run_benchmark",
     "run_backend_benchmark",
     "run_executor_benchmark",
-    "run_parallel_benchmark",
     "run_throughput_benchmark",
     "TelemetryBenchResult",
     "run_telemetry_benchmark",
@@ -163,161 +162,24 @@ class BenchmarkResult:
 
 
 @dataclass
-class ParallelBenchResult:
-    """One workload checked by the two-phase sharded checker at several
-    job counts (``docs/ALGORITHM.md`` §12).
-
-    ``per_jobs`` maps each job count to its best-of-``repeats`` wall
-    times: ``seconds`` is the full check (build + freeze + fan-out +
-    merge), ``check_seconds`` the fan-out stage alone, ``speedup`` is
-    relative to the jobs=1 ``seconds``.  ``identical`` records whether
-    every job count reproduced the jobs=1 ``summary()`` text and
-    ``perf_stats`` byte-for-byte — the determinism contract, asserted by
-    the caller, not here, so a violation still lands in the artifact.
-    """
-
-    name: str
-    scale: str
-    num_events: int
-    num_access_events: int
-    num_tasks: int
-    num_locations: int
-    races: int
-    freeze_seconds: float
-    snapshot_bytes: int
-    bytes_per_task: float
-    identical: bool
-    per_jobs: Dict[int, Dict[str, float]]
-
-    def speedup(self, jobs: int) -> float:
-        base = self.per_jobs.get(1, {}).get("seconds", 0.0)
-        ours = self.per_jobs.get(jobs, {}).get("seconds", 0.0)
-        return base / ours if ours else 0.0
-
-
-def run_parallel_benchmark(
-    name: str,
-    scale: str = "small",
-    *,
-    jobs: tuple = (1, 2, 4),
-    repeats: int = 1,
-    verify: bool = True,
-    backend: Optional[str] = None,
-) -> ParallelBenchResult:
-    """Record one workload's trace, then check it at each job count.
-
-    The workload runs **once** with only a trace recorder attached
-    (phase 1); every job count then re-checks the same recorded stream
-    (phase 2), so the comparison isolates checker throughput from
-    workload execution.  Wall times are best-of-``repeats`` per job
-    count, like :func:`run_benchmark`.
-    """
-    from repro.core.parallel_check import check_trace_parallel
-    from repro.memory.tracer import TraceRecorder
-
-    bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
-    params = bench.params(scale)
-
-    recorder = TraceRecorder()
-    run = run_instrumented(
-        lambda rt: bench.parallel(rt, params),
-        detect=False,
-        extra_observers=(recorder,),
-    )
-    if verify:
-        bench.verify(params, run.result)
-    trace = recorder.trace
-
-    golden_summary: Optional[str] = None
-    golden_perf: Optional[Dict[str, Any]] = None
-    identical = True
-    per_jobs: Dict[int, Dict[str, float]] = {}
-    result = None
-    for n in jobs:
-        best_total = float("inf")
-        best_check = float("inf")
-        best_freeze = float("inf")
-        best_build = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = check_trace_parallel(trace, jobs=n, backend=backend)
-            wall = time.perf_counter() - start
-            best_total = min(best_total, wall)
-            best_check = min(
-                best_check, result.timings["check_seconds"]
-            )
-            best_freeze = min(
-                best_freeze, result.timings["freeze_seconds"]
-            )
-            best_build = min(
-                best_build, result.timings["build_seconds"]
-            )
-        assert result is not None
-        if golden_summary is None:
-            golden_summary = result.summary()
-            golden_perf = result.perf_stats
-        elif (result.summary() != golden_summary
-              or result.perf_stats != golden_perf):
-            identical = False
-        per_jobs[n] = {
-            "seconds": best_total,
-            "check_seconds": best_check,
-            "freeze_seconds": best_freeze,
-            "build_seconds": best_build,
-        }
-    assert result is not None
-    base = per_jobs.get(jobs[0], {}).get("seconds", 0.0)
-    num_events = result.num_events
-    num_access = result.num_access_events
-    for n in jobs:
-        row = per_jobs[n]
-        row["speedup"] = base / row["seconds"] if row["seconds"] else 0.0
-        # Structure-vs-access phase split: build_seconds is the structure
-        # pass (DTRG construction + bucketing), check_seconds the access
-        # (shadow-check) fan-out.
-        row["events_per_second"] = (
-            num_events / row["seconds"] if row["seconds"] else 0.0
-        )
-        row["access_events_per_second"] = (
-            num_access / row["check_seconds"] if row["check_seconds"] else 0.0
-        )
-    snapshot_bytes = result.snapshot.nbytes
-    return ParallelBenchResult(
-        name=name,
-        scale=scale,
-        num_events=result.num_events,
-        num_access_events=result.num_access_events,
-        num_tasks=result.num_tasks,
-        num_locations=result.num_locations,
-        races=len(result.races),
-        freeze_seconds=per_jobs[jobs[0]]["freeze_seconds"],
-        snapshot_bytes=snapshot_bytes,
-        bytes_per_task=(
-            snapshot_bytes / result.num_tasks if result.num_tasks else 0.0
-        ),
-        identical=identical,
-        per_jobs=per_jobs,
-    )
-
-
-@dataclass
 class ThroughputBenchResult:
-    """One workload's trace checked by three single-thread engines
+    """One workload's trace checked by two single-thread engines
     back-to-back in the same process (box speed varies across runs, so
     only same-process ratios are meaningful):
 
-    * ``replay`` — the live object-graph detector re-driven over the
-      recorded events (the PR 1–4 path);
-    * ``snapshot_jobs1`` — the two-phase sharded checker at ``jobs=1``
-      (the PR 5 pure-Python baseline the acceptance ratio is against);
+    * ``replay`` — :func:`~repro.memory.tracer.replay_trace` into the
+      object-graph detector, the paper reference engine;
     * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the
       recorded :class:`~repro.core.events.Trace` columns and the
-      flat-array live DTRG (the PR 6 hot path).
+      flat-array live DTRG.
 
-    ``identical`` records the bit-equivalence contract: all three engines
-    produced the same ``RaceReport.summary()`` text, the same ordered race
-    pair list, and the same invariant perf counters (``precede_queries``,
-    ``mutation_epoch``, ``shadow_fast_hits``, ``precede_calls_saved``).
+    ``speedup_total_vs_replay`` (replay wall time over the fast path's
+    total) is the box-speed-independent ratio the throughput baseline
+    gates.  ``identical`` records the bit-equivalence contract: both
+    engines produced the same ``RaceReport.summary()`` text, the same
+    ordered race pair list, and the same invariant perf counters
+    (``precede_queries``, ``mutation_epoch``, ``shadow_fast_hits``,
+    ``precede_calls_saved``).
     """
 
     name: str
@@ -329,8 +191,6 @@ class ThroughputBenchResult:
     num_locations: int
     races: int
     replay_seconds: float
-    snapshot_check_seconds: float   #: jobs=1 shadow-check stage wall time
-    snapshot_total_seconds: float
     fast_timings: Dict[str, float]  #: encode/structure/access/total seconds
     identical: bool
     mismatches: List[str] = field(default_factory=list)
@@ -341,11 +201,6 @@ class ThroughputBenchResult:
         return self.num_events / s if s else 0.0
 
     @property
-    def snapshot_access_events_per_second(self) -> float:
-        s = self.snapshot_check_seconds
-        return self.num_access_events / s if s else 0.0
-
-    @property
     def fast_events_per_second(self) -> float:
         s = self.fast_timings.get("total_seconds", 0.0)
         return self.num_events / s if s else 0.0
@@ -354,13 +209,6 @@ class ThroughputBenchResult:
     def fast_access_events_per_second(self) -> float:
         s = self.fast_timings.get("access_seconds", 0.0)
         return self.num_access_events / s if s else 0.0
-
-    @property
-    def speedup_access_vs_snapshot(self) -> float:
-        """The acceptance ratio: access-check throughput of the fast path
-        over the PR 5 jobs=1 checker, same trace, same process."""
-        s = self.snapshot_access_events_per_second
-        return self.fast_access_events_per_second / s if s else 0.0
 
     @property
     def speedup_total_vs_replay(self) -> float:
@@ -381,7 +229,7 @@ def run_throughput_benchmark(
     repeats: int = 2,
     verify: bool = True,
 ) -> ThroughputBenchResult:
-    """Record one workload's trace, then race the three single-thread
+    """Record one workload's trace, then race the two single-thread
     checking engines over it (see :class:`ThroughputBenchResult`).
 
     All engines run back-to-back in this process on the *same* recorded
@@ -389,7 +237,6 @@ def run_throughput_benchmark(
     asserted into ``identical``/``mismatches`` rather than raised so a
     violation still lands in the artifact (and the CLI exits non-zero)."""
     from repro.core.fastcheck import check_trace_fast
-    from repro.core.parallel_check import check_trace_parallel
     from repro.memory.tracer import TraceRecorder, replay_trace
 
     bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
@@ -406,48 +253,39 @@ def run_throughput_benchmark(
 
     from repro.core.detector import DeterminacyRaceDetector
 
+    # The two engines alternate, so a slow spell of a shared box hits
+    # both legs of the ratio instead of one, and the collector is parked
+    # while they run so a collection cannot land in one leg only.
     replay_best = float("inf")
-    detector = None
-    for _ in range(repeats):
-        detector = DeterminacyRaceDetector()
-        start = time.perf_counter()
-        replay_trace(trace, [detector])
-        replay_best = min(replay_best, time.perf_counter() - start)
-
-    snap_check_best = float("inf")
-    snap_total_best = float("inf")
-    snap = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        snap = check_trace_parallel(trace, jobs=1, backend="inline")
-        snap_total_best = min(snap_total_best, time.perf_counter() - start)
-        snap_check_best = min(
-            snap_check_best, snap.timings["check_seconds"]
-        )
-
-    fast = None
+    detector = fast = None
     fast_timings: Dict[str, float] = {}
-    for _ in range(repeats):
-        fast = check_trace_fast(trace)
-        for key, value in fast.timings.items():
-            fast_timings[key] = min(fast_timings.get(key, value), value)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            detector = DeterminacyRaceDetector()
+            start = time.perf_counter()
+            replay_trace(trace, [detector])
+            replay_best = min(replay_best, time.perf_counter() - start)
+            fast = check_trace_fast(trace)
+            for key, value in fast.timings.items():
+                fast_timings[key] = min(fast_timings.get(key, value), value)
+    finally:
+        gc.enable()
 
-    assert detector is not None and snap is not None and fast is not None
+    assert detector is not None and fast is not None
     mismatches: List[str] = []
-    golden_summary = detector.report.summary()
-    golden_pairs = [r.pair_key for r in detector.races]
-    for label, res in (("snapshot_jobs1", snap), ("fast", fast)):
-        if res.summary() != golden_summary:
-            mismatches.append(f"{label}: summary differs from replay")
-        if [r.pair_key for r in res.races] != golden_pairs:
-            mismatches.append(f"{label}: race list differs from replay")
-        stats = res.perf_stats
-        golden_stats = detector.perf_stats
-        for key in _INVARIANT_PERF:
-            if stats[key] != golden_stats[key]:
-                mismatches.append(
-                    f"{label}: {key} {stats[key]} != {golden_stats[key]}"
-                )
+    if fast.summary() != detector.report.summary():
+        mismatches.append("fast: summary differs from replay")
+    if ([r.pair_key for r in fast.races]
+            != [r.pair_key for r in detector.races]):
+        mismatches.append("fast: race list differs from replay")
+    stats, golden_stats = fast.perf_stats, detector.perf_stats
+    for key in _INVARIANT_PERF:
+        if stats[key] != golden_stats[key]:
+            mismatches.append(
+                f"fast: {key} {stats[key]} != {golden_stats[key]}"
+            )
 
     return ThroughputBenchResult(
         name=name,
@@ -459,8 +297,6 @@ def run_throughput_benchmark(
         num_locations=fast.num_locations,
         races=len(fast.races),
         replay_seconds=replay_best,
-        snapshot_check_seconds=snap_check_best,
-        snapshot_total_seconds=snap_total_best,
         fast_timings=fast_timings,
         identical=not mismatches,
         mismatches=mismatches,
@@ -787,7 +623,7 @@ class ExecutorBenchResult:
 
     On a single-core box thread-row "speedups" measure scheduling
     overhead, never parallelism — the artifact records ``cpu_count`` so
-    a reader can judge (same caveat as the sharded-checker benchmark).
+    a reader can judge.
     """
 
     name: str

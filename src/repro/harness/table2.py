@@ -5,19 +5,11 @@ Usage::
 
     python -m repro.harness.table2 [--scale tiny|small|table2]
                                    [--repeats N] [--bench NAME ...]
-                                   [--jobs N]
                                    [--metrics-json FILE] [--perfetto FILE]
 
 Prints the measured table followed by the paper's values and the
 qualitative checks DESIGN.md promises (NT-join zeros, the future-variant
 #SharedMem delta, #AvgReaders ranges).  EXPERIMENTS.md archives one run.
-
-``--jobs N`` (N > 1) appends a parallel-checking section: each row's
-trace is re-checked by the two-phase sharded checker at jobs 1 and N
-(``docs/ALGORITHM.md`` §12), reporting check wall times, the speedup,
-and an ``identical`` qualitative check — the sharded checker must
-reproduce the sequential summary and counters byte-for-byte, so the
-Table 2 columns are job-count-invariant by construction.
 """
 
 from __future__ import annotations
@@ -26,14 +18,13 @@ import argparse
 import sys
 from typing import Dict, List
 
+from repro.cli import POSITIVE_INT
 from repro.harness.report import render_table
 from repro.harness.runner import (
     BENCHMARKS,
     EXTENDED_BENCHMARKS,
     BenchmarkResult,
-    ParallelBenchResult,
     run_benchmark,
-    run_parallel_benchmark,
 )
 
 __all__ = ["main", "PAPER_TABLE2"]
@@ -131,13 +122,10 @@ def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="small",
                         choices=("tiny", "small", "table2"))
-    parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--repeats", type=POSITIVE_INT, default=1)
     parser.add_argument("--bench", nargs="*", default=None,
                         help="subset of benchmark names (default: all)")
     parser.add_argument("--no-verify", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="N > 1: also check each row's trace with the "
-                             "sharded parallel checker at jobs 1 and N")
     parser.add_argument("--extended", action="store_true",
                         help="also run the extension rows (SOR, NQueens, "
                              "LUFact, ReduceTree)")
@@ -184,37 +172,6 @@ def main(argv: List[str] | None = None) -> int:
     for line in qualitative_checks(results):
         print(" ", line)
 
-    if args.jobs > 1:
-        parallel: Dict[str, ParallelBenchResult] = {}
-        for name in names:
-            print(f"parallel-checking {name} (jobs=1,{args.jobs}) ...",
-                  file=sys.stderr)
-            parallel[name] = run_parallel_benchmark(
-                name, args.scale, jobs=(1, args.jobs),
-                repeats=args.repeats, verify=False,
-            )
-        print(f"\nTwo-phase sharded checker (jobs=1 vs {args.jobs}):\n")
-        print(render_table([
-            {
-                "Benchmark": name,
-                "#Accesses": p.num_access_events,
-                "Freeze (ms)": round(p.freeze_seconds * 1e3, 2),
-                "Check@1 (ms)": round(
-                    p.per_jobs[1]["seconds"] * 1e3, 1
-                ),
-                f"Check@{args.jobs} (ms)": round(
-                    p.per_jobs[args.jobs]["seconds"] * 1e3, 1
-                ),
-                "Speedup": round(p.speedup(args.jobs), 2),
-                "Identical": p.identical,
-            }
-            for name, p in parallel.items()
-        ]))
-        print("\nParallel determinism checks:")
-        for name, p in parallel.items():
-            status = "PASS" if p.identical else "FAIL"
-            print(f"  [{status}] {name}: jobs={args.jobs} summary and "
-                  "counters byte-identical to jobs=1")
     if obs is not None:
         from repro.harness.report import render_metrics
 

@@ -23,7 +23,7 @@ the attributes observers consume (``tid``, ``is_future``, ``parent``,
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.core.events import (
     OP_FINISH_START,
@@ -37,7 +37,7 @@ from repro.core.events import (
     encode_trace,
 )
 
-__all__ = ["TraceRecorder", "replay_trace", "replay_trace_parallel"]
+__all__ = ["TraceRecorder", "replay_trace"]
 
 
 class TraceRecorder(ExecutionObserver):
@@ -272,39 +272,3 @@ def replay_trace(
         ob.on_task_end(main)
         ob.on_shutdown(main)
 
-
-def replay_trace_parallel(
-    trace: Trace | Iterable[Event],
-    *,
-    jobs: int = 1,
-    backend: Optional[str] = None,
-    names: Optional[Dict[int, str]] = None,
-    obs=None,
-    progress=None,
-):
-    """Two-phase parallel replay: check a recorded trace with the DTRG
-    detector sharded over ``jobs`` workers.
-
-    ``trace`` is a :class:`~repro.core.events.Trace` or any event
-    iterable (encoded first, like :func:`replay_trace`): one pass over its
-    columns builds the DTRG from the structure events, accesses are
-    epoch-stamped and hash-sharded by location, shards fan out via
-    ``multiprocessing`` and a deterministic merge reproduces the
-    sequential race list, summary text and structural counters
-    bit-identically at every job count.  Returns a
-    :class:`repro.core.parallel_check.ParallelCheckResult`.
-
-    This is the replay-mode counterpart of attaching a
-    :class:`~repro.core.detector.DeterminacyRaceDetector` to
-    :func:`replay_trace` — same verdicts, same ``summary()``, same
-    ``DetectorPerf`` columns except the ``cache_*`` ones, which read 0
-    (the PRECEDE verdict cache is interleaving-sensitive, so workers run
-    cache-less to keep every column job-count-invariant).  See
-    ``docs/ALGORITHM.md`` §12.
-    """
-    from repro.core.parallel_check import check_trace_parallel
-
-    return check_trace_parallel(
-        trace, jobs=jobs, backend=backend, names=names, obs=obs,
-        progress=progress,
-    )

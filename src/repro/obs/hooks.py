@@ -39,12 +39,10 @@ from typing import Any, Dict, Hashable, Optional
 from repro.obs.metrics import (
     FRONTIER_BUCKETS,
     MetricsRegistry,
-    PARALLEL_STAGE_BUCKETS_NS,
     PRECEDE_LATENCY_BUCKETS_NS,
     READER_BUCKETS,
-    SHARD_EVENT_BUCKETS,
 )
-from repro.obs.trace import DTRG_TRACK, PARALLEL_TRACK, RingTracer
+from repro.obs.trace import DTRG_TRACK, RingTracer
 
 __all__ = ["Observability", "NULL_OBSERVABILITY"]
 
@@ -236,67 +234,6 @@ class Observability:
                 "race", "race", cur,
                 args={"kind": kind, "prev": prev, "loc": str(loc)},
             )
-
-    # ------------------------------------------------------------------ #
-    # Parallel-checker hook points (repro.core.parallel_check)           #
-    # ------------------------------------------------------------------ #
-    def on_parallel_plan(
-        self, jobs: int, backend: str, shard_events: list
-    ) -> None:
-        """Shard plan of one parallel check: ``shard_events[k]`` is the
-        access-event count bin-packed into shard ``k`` (the shard-balance
-        histogram makes a failed hash/packing visible)."""
-        self.registry.counter("parallel_checks").inc()
-        h = self.registry.histogram("parallel_shard_events",
-                                    SHARD_EVENT_BUCKETS)
-        for n in shard_events:
-            h.observe(n)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.set_track_name(PARALLEL_TRACK, "parallel check")
-            tracer.instant(
-                "parallel.plan", "parallel", PARALLEL_TRACK,
-                args={"jobs": jobs, "backend": backend,
-                      "shard_events": list(shard_events)},
-            )
-
-    def on_parallel_stages(self, timings: dict, shards: list) -> None:
-        """Stage timings + per-shard outcomes of one completed parallel
-        check.  ``timings`` holds ``build/freeze/check/merge/total``
-        seconds (:class:`~repro.core.parallel_check.ParallelCheckResult`
-        layout); ``shards`` holds per-shard event/race counts and wall
-        times.  Stages land in the ``parallel_stage_ns`` histograms and,
-        with a tracer, as back-dated spans on the parallel track (shard
-        spans on ``parallel-shard-<k>`` tracks, drawn concurrent)."""
-        reg = self.registry
-        for stage in ("build", "freeze", "check", "merge"):
-            seconds = timings.get(f"{stage}_seconds", 0.0)
-            reg.histogram(
-                f"parallel_{stage}_ns", PARALLEL_STAGE_BUCKETS_NS
-            ).observe(seconds * 1e9)
-        tracer = self.tracer
-        if tracer is None:
-            return
-        tracer.set_track_name(PARALLEL_TRACK, "parallel check")
-        end = tracer.now_us()
-        start = end - timings.get("total_seconds", 0.0) * 1e6
-        ts = start
-        for stage in ("build", "freeze", "check", "merge"):
-            dur = timings.get(f"{stage}_seconds", 0.0) * 1e6
-            tracer.complete(
-                f"parallel.{stage}", "parallel", PARALLEL_TRACK, ts, dur,
-            )
-            if stage == "check":
-                for shard in shards:
-                    track = f"{PARALLEL_TRACK}-shard-{shard['shard']}"
-                    tracer.set_track_name(track, f"shard {shard['shard']}")
-                    tracer.complete(
-                        f"shard{shard['shard']}", "parallel", track,
-                        ts, shard["seconds"] * 1e6,
-                        args={"events": shard["events"],
-                              "races": shard["races"]},
-                    )
-            ts += dur
 
     # ------------------------------------------------------------------ #
     # Work-stealing simulator hook points (virtual clock: cycles as us)  #

@@ -4,10 +4,9 @@ Three cooperating pieces, all optional and all detachable (the PR 3
 contract — a run without telemetry executes byte-identically):
 
 :class:`ProgressCounter`
-    A shared, lock-guarded progress cell the batched checkers
-    (:func:`repro.core.fastcheck.check_trace_fast`,
-    :func:`repro.core.parallel_check.check_trace_parallel`) and the fuzz
-    driver bump as they go.  Increments are coarse (one per run-length
+    A shared, lock-guarded progress cell the batched checker
+    (:func:`repro.core.fastcheck.check_trace_fast`) and the fuzz driver
+    bump as they go.  Increments are coarse (one per run-length
     block / seed, never per access) so the hot loops stay hot.
 
 :class:`RuntimeSampler`
@@ -23,8 +22,9 @@ contract — a run without telemetry executes byte-identically):
     cache hit rate) from deltas between consecutive samples.
 
 :class:`TelemetryServer` / :class:`LiveTelemetry`
-    ``LiveTelemetry`` is the facade the CLI tools construct for
-    ``--serve-metrics PORT``: it owns the progress counter, the sampler,
+    ``LiveTelemetry`` is the facade the CLI tools start (through
+    :func:`start_telemetry`) for ``--serve-metrics PORT``: it owns the
+    progress counter, the sampler,
     an optional :class:`http.server.ThreadingHTTPServer` (``/metrics``
     in Prometheus text exposition, ``/healthz``, ``/snapshot`` as JSON)
     and the stderr heartbeat line.  Bind to port 0 to get an ephemeral
@@ -48,6 +48,7 @@ __all__ = [
     "RuntimeSampler",
     "TelemetryServer",
     "LiveTelemetry",
+    "start_telemetry",
     "detector_source",
     "thread_runtime_source",
     "tracer_source",
@@ -62,8 +63,8 @@ APPROX_SHADOW_CELL_BYTES = 512
 class ProgressCounter:
     """Monotonic progress shared between a checker and the telemetry
     plane.  ``add`` is taken under a lock — callers bump it per *block*
-    (run-length segment, shard, seed), never per event, so contention is
-    negligible and snapshots are always coherent."""
+    (run-length segment, seed, workload row), never per event, so
+    contention is negligible and snapshots are always coherent."""
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._lock = threading.Lock()
@@ -613,3 +614,32 @@ class LiveTelemetry:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+def start_telemetry(*, detector=None, runtime=None,
+                    **kwargs) -> LiveTelemetry:
+    """Build and start the :class:`LiveTelemetry` of one CLI run.
+
+    ``repro-racecheck``, ``repro-fuzz`` and ``repro-bench`` all start
+    their ``--serve-metrics``/``--heartbeat`` plane here.  ``kwargs`` go
+    to the constructor; ``detector``/``runtime`` are attached before the
+    sampler starts.  The served URL is announced on stderr.  A port that
+    cannot be bound (in use, not permitted) ends the run like a usage
+    error: one ``error:`` line on stderr and exit status 2.
+    """
+    port = kwargs.get("port")
+    try:
+        telemetry = LiveTelemetry(**kwargs)
+    except OSError as exc:
+        print(f"error: --serve-metrics {port}: cannot bind "
+              f"127.0.0.1:{port}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    if detector is not None:
+        telemetry.attach_detector(detector)
+    if runtime is not None:
+        telemetry.attach_runtime(runtime)
+    telemetry.start()
+    if telemetry.url:
+        print(f"serving live metrics at {telemetry.url}/metrics "
+              f"(snapshot: {telemetry.url}/snapshot)", file=sys.stderr)
+    return telemetry

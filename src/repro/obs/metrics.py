@@ -34,8 +34,6 @@ __all__ = [
     "PRECEDE_LATENCY_BUCKETS_NS",
     "FRONTIER_BUCKETS",
     "READER_BUCKETS",
-    "SHARD_EVENT_BUCKETS",
-    "PARALLEL_STAGE_BUCKETS_NS",
 ]
 
 #: PRECEDE wall-time buckets (nanoseconds): level-0 answers land in the
@@ -51,19 +49,6 @@ FRONTIER_BUCKETS: Tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: Stored reader population of a shadow cell at access time.
 READER_BUCKETS: Tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128)
-
-#: Access events per shard in a parallel check (shard-balance visibility:
-#: a heavy-tailed distribution here means the hash/bin-packing failed).
-SHARD_EVENT_BUCKETS: Tuple[float, ...] = (
-    0, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576,
-)
-
-#: Wall-time buckets (nanoseconds) for the parallel checker's build /
-#: freeze / fan-out / merge stages.
-PARALLEL_STAGE_BUCKETS_NS: Tuple[float, ...] = (
-    100_000, 1_000_000, 10_000_000, 100_000_000,
-    1_000_000_000, 10_000_000_000,
-)
 
 
 class Counter:

@@ -21,15 +21,12 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Hashable, List, Optional
 
-__all__ = ["RingTracer", "DTRG_TRACK", "SHADOW_TRACK", "PARALLEL_TRACK"]
+__all__ = ["RingTracer", "DTRG_TRACK", "SHADOW_TRACK"]
 
 #: Reserved track keys for events that belong to a data structure rather
 #: than a task.  Task tracks use the (small, non-negative) task ids.
 DTRG_TRACK = "dtrg"
 SHADOW_TRACK = "shadow"
-#: Track for the two-phase parallel checker's stage spans (build / freeze /
-#: fan-out / merge); per-shard spans use ``f"{PARALLEL_TRACK}-shard-<k>"``.
-PARALLEL_TRACK = "parallel"
 
 #: First synthetic thread id handed to non-integer track keys; far above
 #: any realistic task id so the two ranges never collide.

@@ -62,11 +62,11 @@ import builtins
 import json
 import random
 import re
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.cli import NON_NEGATIVE_INT, PORT, POSITIVE_INT, PROBABILITY
 from repro.harness.report import render_kv, render_table
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.runtime.errors import UnsupportedConstructError
@@ -138,11 +138,6 @@ WILD = (ORACLE,) + GENERAL + tuple(BACKENDS)
 #: oracle's racy set and the dtrg replay detector's race list and
 #: ``RaceReport.summary()`` text.
 FAST_NAME = "dtrg[fast]"
-#: Stats row for the two-phase sharded checker (``--jobs N``, N > 1):
-#: per scoped seed it re-checks the recorded trace at jobs ∈ {1, N} and
-#: must reproduce the sequential dtrg racy set *and* byte-identical
-#: ``RaceReport.summary()`` text at every job count.
-PARALLEL_NAME = "dtrg[parallel]"
 #: Runtime-parity rows (``--runtimes``, PR 8): the same scoped program is
 #: *executed for real* on every substrate — the serial elision, the
 #: work-stealing ThreadRuntime at several pool sizes, and the cooperative
@@ -213,7 +208,7 @@ class FuzzStats:
     def detector_rows(self) -> List[Dict[str, object]]:
         order = (
             (ORACLE,) + GENERAL + RESTRICTED + tuple(ABLATIONS)
-            + tuple(BACKENDS) + (FAST_NAME, PARALLEL_NAME, RUNTIME_SERIAL)
+            + tuple(BACKENDS) + (FAST_NAME, RUNTIME_SERIAL)
             + RUNTIME_ROWS
         )
         rows = []
@@ -346,27 +341,6 @@ def _replay_predicate(name: str, scoped: bool) -> Callable[[Program], bool]:
     return holds
 
 
-def _parallel_predicate(jobs: int) -> Callable[[Program], bool]:
-    """Reproduction check for a sequential/parallel checker divergence."""
-
-    def holds(candidate: Program) -> bool:
-        from repro.core.parallel_check import check_trace_parallel
-
-        try:
-            live, trace = _run_live(
-                "dtrg", candidate, scoped=True, record=True
-            )
-            sequential = DETECTORS["dtrg"]()
-            replay_trace(trace, [sequential])
-            result = check_trace_parallel(trace, jobs=jobs)
-        except Exception:
-            return False
-        return (set(result.racy_locations) != _verdict(live)
-                or result.summary() != sequential.report.summary())
-
-    return holds
-
-
 def _check_fast(trace, want: Set) -> Tuple[Set, Optional[str]]:
     """Run the :data:`FAST_NAME` row on a recorded trace.
 
@@ -443,7 +417,6 @@ def check_seed(
     modes: Sequence[str] = ("scoped", "wild"),
     stats: Optional[FuzzStats] = None,
     obs=None,
-    jobs: int = 1,
     runtimes: bool = False,
 ) -> List[FuzzFailure]:
     """Differentially check one program; returns un-shrunk failures.
@@ -451,13 +424,6 @@ def check_seed(
     ``obs`` (an :class:`repro.obs.Observability`) instruments the scoped
     ``dtrg`` run only — one detector's trace per seed keeps the event
     stream readable, and verdict comparisons are obs-independent.
-
-    ``jobs`` > 1 adds a parallel-parity leg per scoped seed: the recorded
-    trace is re-checked by the two-phase sharded checker
-    (:func:`repro.core.parallel_check.check_trace_parallel`) at jobs ∈
-    {1, ``jobs``}, and any deviation from the live dtrg racy set or from
-    the sequential replay's ``summary()`` text is a
-    ``parallel-divergence`` failure.
 
     ``runtimes`` adds the :data:`RUNTIME_ROWS` parity legs per scoped
     seed: real execution on the serial elision, ThreadRuntime at
@@ -536,33 +502,6 @@ def check_seed(
                      f"scoped:replay:{name}",
                      f"live {sorted(got, key=repr)} vs replay "
                      f"{sorted(_verdict(replayed), key=repr)}")
-            if name == "dtrg" and jobs > 1:
-                from repro.core.parallel_check import check_trace_parallel
-
-                seq_summary = replayed.report.summary()
-                for n in (1, jobs):
-                    stats.tally(PARALLEL_NAME, "runs")
-                    try:
-                        result = check_trace_parallel(trace, jobs=n)
-                    except Exception as exc:
-                        stats.tally(PARALLEL_NAME, "crashes")
-                        fail("scoped", "crash", PARALLEL_NAME,
-                             f"scoped:parallel-crash:{type(exc).__name__}",
-                             f"jobs={n} raised "
-                             f"{type(exc).__name__}: {exc}")
-                        continue
-                    par = set(result.racy_locations)
-                    if par:
-                        stats.tally(PARALLEL_NAME, "racy")
-                    if par != got or result.summary() != seq_summary:
-                        stats.tally(PARALLEL_NAME, "divergences")
-                        fail("scoped", "parallel-divergence", PARALLEL_NAME,
-                             f"scoped:parallel:{n}",
-                             f"jobs={n} {sorted(par, key=repr)} vs dtrg "
-                             f"{sorted(got, key=repr)} "
-                             f"(summary match: "
-                             f"{result.summary() == seq_summary})")
-
         stats.tally(FAST_NAME, "runs")
         try:
             got, detail = _check_fast(trace, want)
@@ -699,13 +638,7 @@ def _shrink_failure(failure: FuzzFailure, budget: int) -> None:
         # runtime crashes and memory divergences are schedule-dependent:
         # a shrinker predicate would flake, so those repros stay unminimized.
         return
-    if failure.kind == "parallel-divergence":
-        predicate = _parallel_predicate(
-            int(failure.signature.rsplit(":", 1)[-1])
-        )
-    elif failure.detector == PARALLEL_NAME:
-        return  # parallel-crash repros are kept unminimized
-    elif failure.detector == FAST_NAME:
+    if failure.detector == FAST_NAME:
         if failure.kind != "divergence":
             return  # fast-checker crash repros are kept unminimized
         predicate = _fast_predicate()
@@ -736,7 +669,6 @@ def fuzz_range(
     verbose: bool = False,
     out=None,
     obs=None,
-    jobs: int = 1,
     runtimes: bool = False,
     progress=None,
 ) -> Tuple[FuzzStats, List[FuzzFailure]]:
@@ -760,7 +692,7 @@ def fuzz_range(
         stats.statements += count_stmts(program.body)
         new_failures = 0
         for failure in check_seed(
-            seed, program, modes=modes, stats=stats, obs=obs, jobs=jobs,
+            seed, program, modes=modes, stats=stats, obs=obs,
             runtimes=runtimes,
         ):
             if verbose or failure.signature not in unique:
@@ -894,11 +826,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "(default 0:100)")
     parser.add_argument("--mode", choices=("scoped", "wild", "both"),
                         default="both")
-    parser.add_argument("--num-locs", type=int, default=4)
-    parser.add_argument("--max-depth", type=int, default=4)
-    parser.add_argument("--max-block", type=int, default=6)
-    parser.add_argument("--p-task", type=float, default=0.35)
-    parser.add_argument("--p-get", type=float, default=0.2)
+    parser.add_argument("--num-locs", type=POSITIVE_INT, default=4)
+    parser.add_argument("--max-depth", type=NON_NEGATIVE_INT, default=4)
+    parser.add_argument("--max-block", type=POSITIVE_INT, default=6)
+    parser.add_argument("--p-task", type=PROBABILITY, default=0.35)
+    parser.add_argument("--p-get", type=PROBABILITY, default=0.2)
     parser.add_argument("--no-shrink", action="store_true",
                         help="report raw failing programs unminimized")
     parser.add_argument("--shrink-budget", type=int, default=800,
@@ -911,10 +843,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write minimized repros as corpus JSON entries")
     parser.add_argument("--replay-corpus", metavar="DIR",
                         help="replay a regression corpus instead of fuzzing")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="N > 1 adds a parallel-parity leg per scoped "
-                             "seed: the sharded checker must reproduce the "
-                             "dtrg races and summary at jobs 1 and N")
     parser.add_argument("--runtimes", action="store_true",
                         help="add the runtime-parity rows per scoped seed: "
                              "real execution on serial / ThreadRuntime "
@@ -926,7 +854,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write a Chrome trace of the scoped dtrg runs")
     parser.add_argument("--metrics-json", metavar="FILE", dest="metrics_json",
                         help="write the observability registry as JSON")
-    parser.add_argument("--serve-metrics", type=int, default=None,
+    parser.add_argument("--serve-metrics", type=PORT, default=None,
                         metavar="PORT", dest="serve_metrics",
                         help="serve live campaign telemetry over HTTP "
                              "(/metrics, /healthz, /snapshot); PORT 0 "
@@ -965,18 +893,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     telemetry = None
     if args.serve_metrics is not None or args.heartbeat > 0:
-        from repro.obs.live import LiveTelemetry
+        from repro.obs.live import start_telemetry
 
-        telemetry = LiveTelemetry(
+        telemetry = start_telemetry(
             registry=getattr(obs, "registry", None) if obs else None,
             tracer=getattr(obs, "tracer", None) if obs else None,
             port=args.serve_metrics,
             heartbeat=args.heartbeat,
         )
-        telemetry.start()
-        if telemetry.url:
-            print(f"serving live metrics at {telemetry.url}/metrics",
-                  file=sys.stderr)
 
     modes = ("scoped", "wild") if args.mode == "both" else (args.mode,)
     try:
@@ -992,7 +916,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             fail_fast=args.fail_fast,
             verbose=args.verbose,
             obs=obs,
-            jobs=args.jobs,
             runtimes=args.runtimes,
             progress=telemetry.progress if telemetry is not None else None,
         )

@@ -11,8 +11,6 @@ with the instrumented runtime:
                                   [--policy collect|raise]
                                   [--dot graph.dot] [--trace out.trace]
                                   [--metrics] [--witness]
-                                  [--jobs N] [--parallel-backend auto|fork|
-                                   spawn|inline]
                                   [--fast]
                                   [--perfetto out.json]
                                   [--metrics-json out-metrics.json]
@@ -41,27 +39,17 @@ HTML report, and ``--verify-witness`` independently confirms every witness
 against the brute-force transitive closure of the computation graph
 (exit 2 if any check fails).  Any of these flags implies ``--explain``.
 
-``--jobs N`` (N > 1) switches to the two-phase sharded checker: the
-program runs once with only a :class:`~repro.memory.tracer.TraceRecorder`
-attached (near-zero detection overhead), then the recorded stream is
-checked by ``N`` worker processes over a frozen array-backed DTRG
-snapshot (``docs/ALGORITHM.md`` §12).  The race list, the printed
-summary and the exit code are bit-identical to the sequential
-``--detector dtrg`` run.  Post-hoc checking cannot abort the program at
-the first race and has no live DTRG to certify witnesses from, so
-``--jobs`` rejects ``--policy raise`` and the ``--explain`` family;
-``--detector`` must be ``dtrg``.
-
-``--fast`` is the single-thread batched counterpart of ``--jobs``: the
-program runs once with only the trace recorder attached, which writes
-the columns of a :class:`~repro.core.events.Trace`, checked by
-``check_trace_fast`` (``docs/ALGORITHM.md`` §13.3) — same race list,
-summary and exit code as the sequential ``--detector dtrg`` run, at
-1M+ access-checks/s.  The same restrictions as ``--jobs`` apply (dtrg
-only, no ``--policy raise``, no ``--explain`` family), and — like the
-``--jobs`` path since PR 5 — a user-program abort during the recording
-phase still writes every requested ``--dot``/``--trace``/``--metrics``
-artifact and exits 2.
+``--fast`` checks in two phases: the program runs once with only a
+:class:`~repro.memory.tracer.TraceRecorder` attached, which writes the
+columns of a :class:`~repro.core.events.Trace`, and the batched
+single-thread checker ``check_trace_fast`` (``docs/ALGORITHM.md``
+§13.2) then checks them — same race list, summary and exit code as the
+online ``--detector dtrg`` run, at 1M+ access-checks/s.  Post-hoc
+checking cannot abort the program at the first race and has no live
+DTRG to certify witnesses from, so ``--fast`` rejects ``--policy raise``
+and the ``--explain`` family; ``--detector`` must be ``dtrg``.  A
+user-program abort during the recording phase still writes every
+requested ``--dot``/``--trace``/``--metrics`` artifact and exits 2.
 
 ``--runtime threads`` executes the program on the work-stealing
 :class:`~repro.runtime.executor.ThreadRuntime` (``--workers N`` sets the
@@ -73,7 +61,7 @@ parallel`` (:class:`~repro.core.parallel_detector.ParallelRaceDetector`,
 the one engine whose verdicts are exact under any schedule — the DTRG
 family assumes the serial depth-first event order, see README "Choosing
 a runtime") and reject the flags whose machinery assumes that order:
-``--jobs``/``--fast`` (post-hoc replay), the ``--explain`` family
+``--fast`` (post-hoc replay), the ``--explain`` family
 (call-site provenance), and ``--dot``/``--trace``/``--witness``/
 ``--verify-witness`` (computation-graph reconstruction).  The printed
 ``racy location`` set matches the serial run; which unordered access of
@@ -116,7 +104,8 @@ from repro.core.parallel_detector import ParallelRaceDetector
 from repro.graph import GraphBuilder, ReachabilityClosure, to_dot
 from repro.harness.metrics import MetricsCollector
 from repro.core.events import ExecutionObserver
-from repro.memory.tracer import TraceRecorder, replay_trace_parallel
+from repro.cli import PORT
+from repro.memory.tracer import TraceRecorder
 from repro.runtime.errors import RaceError, UnsupportedConstructError
 from repro.runtime.asyncio_runtime import AsyncioRuntime
 from repro.runtime.executor import ThreadRuntime
@@ -139,7 +128,7 @@ DETECTORS = {
 
 
 class _NameCapture(ExecutionObserver):
-    """Record live task names so parallel races print like the live run."""
+    """Record live task names so post-hoc races print like the live run."""
 
     def __init__(self) -> None:
         self.names = {}
@@ -179,15 +168,6 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--witness", action="store_true",
                         help="print two schedules whose outcomes differ "
                              "for each racy location")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="check accesses with N worker processes via "
-                             "the two-phase sharded checker (dtrg only; "
-                             "identical races/summary/exit code)")
-    parser.add_argument("--parallel-backend", dest="parallel_backend",
-                        default=None,
-                        choices=("auto", "fork", "spawn", "inline"),
-                        help="worker dispatch for --jobs (default auto: "
-                             "fork where available, else spawn)")
     parser.add_argument("--fast", action="store_true",
                         help="check via the batched single-thread fast "
                              "path: record the trace's columns, run "
@@ -213,7 +193,7 @@ def main(argv: List[str] | None = None) -> int:
                         help="cross-check every witness against the "
                              "brute-force computation graph "
                              "(implies --explain; exit 2 on mismatch)")
-    parser.add_argument("--serve-metrics", type=int, default=None,
+    parser.add_argument("--serve-metrics", type=PORT, default=None,
                         metavar="PORT", dest="serve_metrics",
                         help="serve live telemetry over HTTP while the "
                              "check runs: /metrics (Prometheus text "
@@ -257,7 +237,6 @@ def main(argv: List[str] | None = None) -> int:
         return 2
     if concurrent:
         blocked = [
-            (args.jobs > 1, "--jobs"),
             (args.fast, "--fast"),
             (args.explain, "--explain"),
             (args.witness_json is not None, "--witness-json"),
@@ -284,26 +263,17 @@ def main(argv: List[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    parallel = args.jobs > 1
-    if parallel and args.fast:
-        print("error: --fast is the single-thread batched checker; "
-              "use either --fast or --jobs N", file=sys.stderr)
-        return 2
-    if parallel or args.fast:
-        flag = "--jobs" if parallel else "--fast"
+    if args.fast:
         if args.detector != "dtrg":
-            print(f"error: {flag} requires --detector dtrg (the batched "
-                  "checkers implement the DTRG algorithm)", file=sys.stderr)
+            print("error: --fast requires --detector dtrg (the batched "
+                  "checker implements the DTRG algorithm)", file=sys.stderr)
             return 2
         if args.policy == "raise":
-            print(f"error: {flag} checks post-hoc and cannot abort at the "
+            print("error: --fast checks post-hoc and cannot abort at the "
                   "first race; use --policy collect", file=sys.stderr)
             return 2
         if explain:
-            print(f"error: {flag} cannot certify witnesses (no live DTRG); "
+            print("error: --fast cannot certify witnesses (no live DTRG); "
                   "drop --explain/--witness-json/--html/--verify-witness",
                   file=sys.stderr)
             return 2
@@ -344,13 +314,13 @@ def main(argv: List[str] | None = None) -> int:
 
         provenance = RaceProvenance()
     name_capture = None
-    if parallel or args.fast:
+    if args.fast:
         # Two-phase mode: phase 1 records the stream (no detector in the
-        # loop), phase 2 replays it through the sharded or batched
-        # checker.  Live task names are captured so post-hoc races print
-        # identically to live.  The abort handlers below cover phase 1
-        # for both checkers: a user-program crash or unsupported
-        # construct still flushes every requested artifact and exits 2.
+        # loop), phase 2 checks it with the batched checker.  Live task
+        # names are captured so post-hoc races print identically to live.
+        # The abort handlers below cover phase 1: a user-program crash or
+        # unsupported construct still flushes every requested artifact
+        # and exits 2.
         detector = None
         observers: List = []
         name_capture = _NameCapture()
@@ -372,7 +342,7 @@ def main(argv: List[str] | None = None) -> int:
         metrics = MetricsCollector()
         observers.append(metrics)
     recorder = None
-    if args.trace or parallel or args.fast:
+    if args.trace or args.fast:
         recorder = TraceRecorder()
         observers.append(recorder)
 
@@ -439,25 +409,18 @@ def main(argv: List[str] | None = None) -> int:
 
     telemetry = None
     if args.serve_metrics is not None or args.heartbeat > 0:
-        from repro.obs.live import LiveTelemetry
+        from repro.obs.live import start_telemetry
 
-        telemetry = LiveTelemetry(
+        telemetry = start_telemetry(
             registry=obs.registry if obs is not None else None,
             tracer=obs.tracer if obs is not None else None,
             port=args.serve_metrics,
             interval=args.sample_interval,
             heartbeat=args.heartbeat,
+            detector=detector,
+            runtime=rt,  # no-op for runtimes without deques
         )
-        if detector is not None:
-            telemetry.attach_detector(detector)
-        telemetry.attach_runtime(rt)  # no-op for runtimes without deques
-        telemetry.start()
-        if telemetry.url:
-            print(f"serving live metrics at {telemetry.url}/metrics "
-                  f"(snapshot: {telemetry.url}/snapshot)", file=sys.stderr)
-        telemetry.progress.set_phase(
-            "record" if (parallel or args.fast) else "execute"
-        )
+        telemetry.progress.set_phase("record" if args.fast else "execute")
     progress = telemetry.progress if telemetry is not None else None
 
     setup = namespace.get("setup")
@@ -490,24 +453,7 @@ def main(argv: List[str] | None = None) -> int:
             write_artifacts()
             return 2
 
-        if parallel:
-            result = replay_trace_parallel(
-                recorder.trace,
-                jobs=args.jobs,
-                backend=args.parallel_backend,
-                names=name_capture.names,
-                obs=obs,
-                progress=progress,
-            )
-            detector = result  # duck-typed: .report / .races / .witnesses
-            if args.metrics:
-                timings = result.timings
-                print(f"parallel check: jobs={result.jobs} "
-                      f"backend={result.backend} shards={len(result.shards)} "
-                      f"freeze={timings['freeze_seconds'] * 1e3:.1f}ms "
-                      f"check={timings['check_seconds'] * 1e3:.1f}ms "
-                      f"merge={timings['merge_seconds'] * 1e3:.1f}ms")
-        elif args.fast:
+        if args.fast:
             from repro.core.fastcheck import check_trace_fast
 
             result = check_trace_fast(

@@ -77,16 +77,21 @@ def test_async_write_write_race():
     assert fast.races[0].kind.value == "write-write"
 
 
-def test_site_attribution_matches_sharded_checker():
+def test_site_attribution_matches_replay():
     """With sites in the stream, the fast path attributes them exactly
-    like the sharded workers do (the plain sequential detector only
-    renders sites when a provenance recorder is attached)."""
-    from repro.core.parallel_check import check_trace_parallel
+    like a detector replaying the trace with provenance attached, which
+    adopts the recorded sites (without provenance the detector renders
+    no sites)."""
+    from repro.obs import RaceProvenance
 
     trace = _async_write_race(sites=True)
     fast = check_trace_fast(trace)
-    sharded = check_trace_parallel(trace, jobs=1, backend="inline")
-    assert fast.summary() == sharded.summary()
+    prov = RaceProvenance()
+    det = DeterminacyRaceDetector(provenance=prov)
+    replay_trace(trace, [det], provenance=prov)
+    assert fast.summary() == det.report.summary()
+    assert [(r.pair_key, r.prev_site, r.current_site) for r in fast.races] \
+        == [(r.pair_key, r.prev_site, r.current_site) for r in det.races]
     assert len(fast.races) == 1
     race = fast.races[0]
     assert race.prev_site == "a.py:1"

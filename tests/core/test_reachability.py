@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import DeterminacyRaceDetector, Runtime, SharedArray
 from repro.core.reachability import DynamicTaskReachabilityGraph
 
 
@@ -136,6 +137,38 @@ def test_merged_member_non_tree_edge_not_pruned():
     g.on_terminate("F2")
     g.record_join("main", "F2")  # tree merge into main's set
     assert g.precede("F1", "main")
+
+
+def test_future_chain_final_state_precede_is_all_true():
+    """The paper's Figure 1 shape: a future chain joined by main.
+
+    After the end-finish merge (Algorithm 6) every task sits in one set,
+    so PRECEDE on the *final* graph is all-True — and it would hide the
+    race between ``f1``'s write and main's unordered write that the
+    online check reports.  This is why every checker queries the DTRG
+    as it stood at each access (ALGORITHM.md §12)."""
+    det = DeterminacyRaceDetector()
+    rt = Runtime(observers=[det])
+    mem = SharedArray(rt, "x", 1)
+
+    def f1_body():
+        mem.write(0, 1)
+        return 1
+
+    def program(rt_):
+        with rt.finish():
+            f1 = rt.future(f1_body, name="f1")
+            mem.write(0, 2)  # not ordered after f1's write: a race
+            f2 = rt.future(lambda: rt.get(f1) + 1, name="f2")
+            assert rt.get(f2) == 2
+
+    rt.run(program)
+    assert det.report.racy_locations == {("x", 0)}
+    (keys,) = det.dtrg.partition()  # one set after the end-finish merge
+    assert len(keys) == 3
+    for a in keys:
+        for b in keys:
+            assert det.dtrg.precede(a, b) is True
 
 
 def test_statistics_counters():

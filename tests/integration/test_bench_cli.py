@@ -49,35 +49,42 @@ def test_bench_data_records_failures_without_aborting(monkeypatch, capsys):
     ]
 
 
-def test_parallel_bench_writes_pr5_schema(tmp_path, capsys):
-    from repro.harness.bench import PARALLEL_BENCH_SCHEMA
-
-    out = tmp_path / "BENCH_PR5.json"
-    code = main(["--parallel", "--scale", "tiny", "--jobs", "1,2",
-                 "--only", "Jacobi", "--output", str(out),
-                 "--tag", "unit-test"])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["schema"] == PARALLEL_BENCH_SCHEMA
-    assert data["tag"] == "unit-test"
-    assert data["cpu_count"] >= 1
-    (w,) = data["workloads"]
-    assert w["name"] == "Jacobi"
-    assert w["identical_across_jobs"] is True
-    assert w["num_access_events"] > 0
-    assert w["snapshot_bytes"] > 0 and w["bytes_per_task"] > 0
-    assert w["freeze_seconds"] > 0
-    rows = {r["jobs"]: r for r in w["jobs"]}
-    assert set(rows) == {1, 2}
-    assert rows[1]["speedup"] == 1.0
-    assert rows[2]["seconds"] > 0 and rows[2]["speedup"] > 0
-
-
-def test_parallel_bench_jobs_parsing(tmp_path):
+def test_bench_count_parsing(tmp_path):
     import pytest
 
-    for bad in ("0,2", "nope"):
+    for bad in (["--workers", "0,2"], ["--workers", "nope"],
+                ["--repeats", "0"]):
         with pytest.raises(SystemExit) as excinfo:
-            main(["--parallel", "--jobs", bad,
-                  "--output", str(tmp_path / "x.json")])
+            main(bad + ["--output", str(tmp_path / "x.json")])
         assert excinfo.value.code == 2
+
+
+def test_throughput_baseline_gates_speedup_vs_replay():
+    """The throughput gate floors ``speedup_total_vs_replay`` and refuses
+    a baseline of another schema (the checked-in file is current)."""
+    import io
+    from pathlib import Path
+
+    from repro.harness.bench import (
+        THROUGHPUT_BASELINE_SCHEMA,
+        check_throughput_baseline,
+    )
+
+    checked_in = Path(__file__).resolve().parents[2] / "benchmarks" / \
+        "throughput_baseline.json"
+    assert json.loads(checked_in.read_text())["schema"] == \
+        THROUGHPUT_BASELINE_SCHEMA
+    row = {"name": "Jacobi", "speedup_total_vs_replay": 1.1,
+           "fast": {"access_events_per_second": 1e6}}
+    data = {"workloads": [row]}
+    baseline = {"schema": THROUGHPUT_BASELINE_SCHEMA, "workloads": {
+        "Jacobi": {"access_events_per_second": 5e5,
+                   "min_speedup_vs_replay": 1.25}}}
+    (violation,) = check_throughput_baseline(data, baseline,
+                                             out=io.StringIO())
+    assert "speedup vs replay 1.10 below floor 1.25" in violation
+    row["speedup_total_vs_replay"] = 2.0
+    assert check_throughput_baseline(data, baseline, out=io.StringIO()) == []
+    stale = dict(baseline, schema="repro.bench.throughput-baseline/1")
+    (violation,) = check_throughput_baseline(data, stale, out=io.StringIO())
+    assert "schema" in violation

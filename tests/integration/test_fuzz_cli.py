@@ -76,11 +76,24 @@ def test_replay_corpus_cli(capsys):
     assert "dtrg_future_covered_reader: ok" in out
 
 
-@pytest.mark.parametrize("bad", ["5", "3:3", "4:1", "a:b"])
-def test_bad_seed_range_is_a_usage_error(bad):
+@pytest.mark.parametrize("bad", [
+    "5", "3:3", "4:1", "a:b",
+    # Out-of-range generator knobs are usage errors too, not crashes in
+    # randrange (exit 1 would read as "divergences found").
+    pytest.param(["--num-locs", "0"], id="num-locs=0"),
+    pytest.param(["--max-block", "0"], id="max-block=0"),
+    pytest.param(["--max-depth", "-1"], id="max-depth=-1"),
+    pytest.param(["--p-task", "1.5"], id="p-task=1.5"),
+    pytest.param(["--p-task", "-0.1"], id="p-task=-0.1"),
+    pytest.param(["--p-get", "2"], id="p-get=2"),
+    pytest.param(["--p-get", "nan"], id="p-get=nan"),
+])
+def test_bad_seed_range_is_a_usage_error(bad, capsys):
+    argv = ["--seeds", bad] if isinstance(bad, str) else bad
     with pytest.raises(SystemExit) as excinfo:
-        fuzz.main(["--seeds", bad])
+        fuzz.main(argv)
     assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- #
@@ -255,43 +268,6 @@ def test_fuzz_obs_artifacts(tmp_path, capsys):
     assert validate_chrome_trace(data) == []
     stats = json.loads(metrics.read_text())
     assert stats["counters"]["tasks_spawned"] > 0
-
-
-# ---------------------------------------------------------------------- #
-# Parallel-parity leg (--jobs)                                           #
-# ---------------------------------------------------------------------- #
-def test_fuzz_with_jobs_is_clean(capsys):
-    assert fuzz.main(["--seeds", "0:6", "--mode", "scoped",
-                      "--jobs", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "no divergences" in out
-    assert "dtrg[parallel]" in out
-
-
-def test_planted_parallel_divergence_is_flagged(monkeypatch):
-    """A sharded checker that loses races must surface as a
-    parallel-divergence failure, not pass silently."""
-    from io import StringIO
-
-    from repro.core import parallel_check as parallel_mod
-
-    class _LyingResult:
-        racy_locations = frozenset()
-
-        def summary(self):
-            return "no determinacy races detected"
-
-    monkeypatch.setattr(
-        parallel_mod, "check_trace_parallel",
-        lambda trace, **kwargs: _LyingResult(),
-    )
-    stats, failures = fuzz.fuzz_range(
-        range(0, 8), modes=("scoped",), shrink=False, jobs=2,
-        out=StringIO(),
-    )
-    assert any(f.kind == "parallel-divergence" for f in failures)
-    row = stats.per_detector[fuzz.PARALLEL_NAME]
-    assert row["divergences"] > 0
 
 
 def test_fast_row_runs_on_every_scoped_seed():

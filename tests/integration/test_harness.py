@@ -58,3 +58,6 @@ def test_cli_runs_single_benchmark(capsys):
 def test_cli_rejects_unknown_benchmark():
     with pytest.raises(SystemExit):
         main(["--bench", "Nope"])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--repeats", "0", "--bench", "Series-af"])
+    assert excinfo.value.code == 2

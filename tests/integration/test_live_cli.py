@@ -10,6 +10,7 @@ mid-run (the same loop the CI ``obs-live`` job runs against
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import textwrap
@@ -58,6 +59,38 @@ def racy_program(tmp_path):
             f.get()
     """))
     return str(path)
+
+
+# ---------------------------------------------------------------------- #
+# --serve-metrics PORT validation, shared by the three CLIs
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("port", ["-1", "70000", "busy"])
+@pytest.mark.parametrize("tool", ["racecheck", "fuzz", "bench"])
+def test_bad_or_busy_serve_metrics_port_exits_two(
+        tool, port, clean_program, tmp_path, capsys):
+    """An out-of-range port is a usage error at parse time; a port that
+    cannot be bound is one ``error:`` line.  Both exit 2, never the
+    traceback and exit 1 that would read as "races found"."""
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen(1)
+        if port == "busy":
+            port = str(held.getsockname()[1])
+        argv = {
+            "racecheck": [clean_program],
+            "fuzz": ["--seeds", "0:1", "--mode", "scoped"],
+            "bench": ["--scale", "tiny", "--only", "Jacobi",
+                      "--output", str(tmp_path / "bench.json")],
+        }[tool] + ["--serve-metrics", port]
+        main = {"racecheck": racecheck_main, "fuzz": fuzz_main,
+                "bench": bench_main}[tool]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert "--serve-metrics" in line
 
 
 # ---------------------------------------------------------------------- #

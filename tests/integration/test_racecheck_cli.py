@@ -309,64 +309,6 @@ def test_metrics_json_without_detector_has_runtime_counters(
 
 
 # ---------------------------------------------------------------------- #
-# Two-phase parallel checking (--jobs)                                   #
-# ---------------------------------------------------------------------- #
-def test_jobs_output_identical_to_sequential(racy_program, capsys):
-    assert main([racy_program]) == 1
-    sequential = capsys.readouterr().out
-    assert main([racy_program, "--jobs", "2"]) == 1
-    parallel = capsys.readouterr().out
-    assert parallel == sequential
-    assert "producer" in parallel  # live task names survive the replay
-
-
-def test_jobs_clean_program_exit_zero(clean_program, capsys):
-    assert main([clean_program, "--jobs", "4"]) == 0
-    assert "no determinacy races" in capsys.readouterr().out
-
-
-def test_jobs_metrics_prints_parallel_stats(racy_program, capsys):
-    assert main([racy_program, "--jobs", "2", "--metrics"]) == 1
-    out = capsys.readouterr().out
-    assert "parallel check: jobs=2" in out
-    assert "freeze=" in out
-
-
-def test_jobs_rejects_raise_policy(racy_program, capsys):
-    assert main([racy_program, "--jobs", "2", "--policy", "raise"]) == 2
-    assert "cannot abort" in capsys.readouterr().err
-
-
-def test_jobs_rejects_explain_family(racy_program, tmp_path, capsys):
-    assert main([racy_program, "--jobs", "2", "--explain"]) == 2
-    assert "witness" in capsys.readouterr().err
-    assert main([racy_program, "--jobs", "2",
-                 "--html", str(tmp_path / "r.html")]) == 2
-
-
-def test_jobs_rejects_non_dtrg_detector(racy_program, capsys):
-    assert main([racy_program, "--jobs", "2",
-                 "--detector", "vector-clock"]) == 2
-    assert "--detector dtrg" in capsys.readouterr().err
-
-
-def test_jobs_rejects_zero(racy_program, capsys):
-    assert main([racy_program, "--jobs", "0"]) == 2
-
-
-def test_jobs_writes_trace_and_obs_artifacts(racy_program, tmp_path, capsys):
-    import json
-
-    trace = tmp_path / "out.trace"
-    metrics = tmp_path / "metrics.json"
-    assert main([racy_program, "--jobs", "2", "--trace", str(trace),
-                 "--metrics-json", str(metrics)]) == 1
-    assert trace.exists()
-    dump = json.loads(metrics.read_text())
-    assert dump["counters"]["parallel_checks"] == 1
-
-
-# ---------------------------------------------------------------------- #
 # Batched single-thread checking (--fast)                                #
 # ---------------------------------------------------------------------- #
 def test_fast_output_identical_to_sequential(racy_program, capsys):
@@ -390,9 +332,21 @@ def test_fast_metrics_prints_fast_stats(racy_program, capsys):
     assert "access-checks/s" in out
 
 
-def test_fast_rejects_jobs(racy_program, capsys):
-    assert main([racy_program, "--fast", "--jobs", "2"]) == 2
-    assert "either --fast or --jobs" in capsys.readouterr().err
+def test_fast_writes_trace_and_obs_artifacts(racy_program, tmp_path, capsys):
+    import json
+
+    from repro.core.events import Trace
+
+    trace = tmp_path / "out.trace"
+    metrics = tmp_path / "metrics.json"
+    assert main([racy_program, "--fast", "--trace", str(trace),
+                 "--metrics-json", str(metrics)]) == 1
+    out = capsys.readouterr().out
+    assert "determinacy race" in out
+    assert f"written to {trace}" in out and f"written to {metrics}" in out
+    assert len(Trace.load(str(trace))) == 5  # spawn, write, read, end, get
+    dump = json.loads(metrics.read_text())
+    assert dump["counters"]["tasks_spawned"] == 2  # main + producer
 
 
 def test_fast_rejects_raise_policy_and_explain(racy_program, capsys):

@@ -75,6 +75,23 @@ def test_replay_matches_live_run_on_random_programs():
         assert oracle.racy_locations == live.racy_locations, seed
 
 
+def test_replay_trace_accepts_generator():
+    """A one-shot event generator with no ``__len__`` replays like the
+    recorded trace it was drawn from."""
+    for seed in range(50):
+        recorder = TraceRecorder()
+        run_program(random_program(random.Random(seed)), [recorder])
+        golden = DeterminacyRaceDetector()
+        replay_trace(recorder.trace, [golden])
+        if golden.report.has_races:
+            break
+    else:  # pragma: no cover
+        raise AssertionError("no racy seed in range")
+    det = DeterminacyRaceDetector()
+    replay_trace((event for event in recorder.trace), [det])
+    assert det.report.summary() == golden.report.summary()
+
+
 def test_replay_preserves_metrics():
     def prog(rt, mem):
         f = rt.future(lambda: mem.write(0, 1), name="p")
