@@ -43,9 +43,9 @@ contract in ``repro.core.backend``):
 
 Cost shape: a spawn copies the parent's clock — O(live components) per
 spawn, O(T²) worst case over a T-task program — and a join is O(clock
-size).  The comparison table from ``repro-bench --backends``
-(``BENCH_PR7.json``, ALGORITHM.md §14.4) measures exactly that
-trade-off against the DTRG's near-constant-size per-task state.
+size).  The ``replay[vc]`` leg of ``repro-bench`` (docs/BACKENDS.md,
+ALGORITHM.md §14.3) measures exactly that trade-off against the DTRG's
+near-constant-size per-task state.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ the paper's three configurations:
   the ``Racedet/Instrumented`` ratio comparable to the paper's
   ``Racedet/Seq`` (see EXPERIMENTS.md for the discussion);
 * ``Racedet``      — instrumentation + the determinacy race detector.
+
+It also runs the other legs of a ``repro-bench`` row (:data:`LEGS`):
+:func:`run_trace_legs` checks one recorded trace with every PRECEDE
+backend and the fast kernel, and :func:`run_parallel_legs` runs the
+workload live under the ParallelRaceDetector on each runtime.
 """
 
 from __future__ import annotations
@@ -36,18 +41,13 @@ from repro.workloads.common import run_instrumented
 __all__ = [
     "BenchmarkDef",
     "BenchmarkResult",
-    "BackendBenchResult",
-    "ThroughputBenchResult",
     "BENCHMARKS",
     "EXTENDED_BENCHMARKS",
-    "BACKEND_ENGINES",
-    "ExecutorBenchResult",
+    "LEGS",
+    "LegResults",
     "run_benchmark",
-    "run_backend_benchmark",
-    "run_executor_benchmark",
-    "run_throughput_benchmark",
-    "TelemetryBenchResult",
-    "run_telemetry_benchmark",
+    "run_parallel_legs",
+    "run_trace_legs",
 ]
 
 
@@ -133,8 +133,8 @@ class BenchmarkResult:
     def events_per_second(self) -> float:
         """Detected-run throughput: all instrumented events (accesses +
         structure) over the Racedet wall time.  Includes workload compute,
-        so it *under*-states pure checking throughput — the trace-replay
-        numbers in ``repro-bench --throughput`` isolate that."""
+        so it *under*-states pure checking throughput — the trace legs of
+        ``repro-bench`` isolate that."""
         if not self.racedet_seconds:
             return 0.0
         return self.metrics.num_events / self.racedet_seconds
@@ -161,60 +161,23 @@ class BenchmarkResult:
         return row
 
 
-@dataclass
-class ThroughputBenchResult:
-    """One workload's trace checked by two single-thread engines
-    back-to-back in the same process (box speed varies across runs, so
-    only same-process ratios are meaningful):
 
-    * ``replay`` — :func:`~repro.memory.tracer.replay_trace` into the
-      object-graph detector, the paper reference engine;
-    * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the
-      recorded :class:`~repro.core.events.Trace` columns and the
-      flat-array live DTRG.
-
-    ``speedup_total_vs_replay`` (replay wall time over the fast path's
-    total) is the box-speed-independent ratio the throughput baseline
-    gates.  ``identical`` records the bit-equivalence contract: both
-    engines produced the same ``RaceReport.summary()`` text, the same
-    ordered race pair list, and the same invariant perf counters
-    (``precede_queries``, ``mutation_epoch``, ``shadow_fast_hits``,
-    ``precede_calls_saved``).
-    """
-
-    name: str
-    scale: str
-    num_events: int
-    num_access_events: int
-    num_structure_events: int
-    num_tasks: int
-    num_locations: int
-    races: int
-    replay_seconds: float
-    fast_timings: Dict[str, float]  #: encode/structure/access/total seconds
-    identical: bool
-    mismatches: List[str] = field(default_factory=list)
-
-    @property
-    def replay_events_per_second(self) -> float:
-        s = self.replay_seconds
-        return self.num_events / s if s else 0.0
-
-    @property
-    def fast_events_per_second(self) -> float:
-        s = self.fast_timings.get("total_seconds", 0.0)
-        return self.num_events / s if s else 0.0
-
-    @property
-    def fast_access_events_per_second(self) -> float:
-        s = self.fast_timings.get("access_seconds", 0.0)
-        return self.num_access_events / s if s else 0.0
-
-    @property
-    def speedup_total_vs_replay(self) -> float:
-        s = self.fast_timings.get("total_seconds", 0.0)
-        return self.replay_seconds / s if s else 0.0
-
+#: PRECEDE backends replayed over each recorded trace
+#: (``DeterminacyRaceDetector(engine=…)``); the first is the golden one.
+REPLAY_ENGINES = ("dtrg", "array", "depa", "vc")
+#: ThreadRuntime pool sizes of the live parallel legs.
+THREAD_WORKERS = (1, 2, 4)
+TRACE_LEGS = tuple(f"replay[{e}]" for e in REPLAY_ENGINES) + (
+    "fast", "fast+served",
+)
+PARALLEL_LEGS = ("parallel[serial]",) + tuple(
+    f"threads-{w}" for w in THREAD_WORKERS
+)
+#: Every leg of a ``repro-bench`` row, in report order: the three live
+#: Table 2 configurations of :func:`run_benchmark`, the checkers of one
+#: recorded trace (:func:`run_trace_legs`) and the live
+#: ParallelRaceDetector on each runtime (:func:`run_parallel_legs`).
+LEGS = ("seq", "instrumented", "online") + TRACE_LEGS + PARALLEL_LEGS
 
 _INVARIANT_PERF = (
     "precede_queries", "mutation_epoch",
@@ -222,183 +185,72 @@ _INVARIANT_PERF = (
 )
 
 
-def run_throughput_benchmark(
-    name: str,
-    scale: str = "small",
-    *,
-    repeats: int = 2,
-    verify: bool = True,
-) -> ThroughputBenchResult:
-    """Record one workload's trace, then race the two single-thread
-    checking engines over it (see :class:`ThroughputBenchResult`).
-
-    All engines run back-to-back in this process on the *same* recorded
-    stream; wall times are best-of-``repeats`` per engine.  Equivalence is
-    asserted into ``identical``/``mismatches`` rather than raised so a
-    violation still lands in the artifact (and the CLI exits non-zero)."""
-    from repro.core.fastcheck import check_trace_fast
-    from repro.memory.tracer import TraceRecorder, replay_trace
-
-    bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
-    params = bench.params(scale)
-    recorder = TraceRecorder()
-    run = run_instrumented(
-        lambda rt: bench.parallel(rt, params),
-        detect=False,
-        extra_observers=(recorder,),
-    )
-    if verify:
-        bench.verify(params, run.result)
-    trace = recorder.trace
-
-    from repro.core.detector import DeterminacyRaceDetector
-
-    # The two engines alternate, so a slow spell of a shared box hits
-    # both legs of the ratio instead of one, and the collector is parked
-    # while they run so a collection cannot land in one leg only.
-    replay_best = float("inf")
-    detector = fast = None
-    fast_timings: Dict[str, float] = {}
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            detector = DeterminacyRaceDetector()
-            start = time.perf_counter()
-            replay_trace(trace, [detector])
-            replay_best = min(replay_best, time.perf_counter() - start)
-            fast = check_trace_fast(trace)
-            for key, value in fast.timings.items():
-                fast_timings[key] = min(fast_timings.get(key, value), value)
-    finally:
-        gc.enable()
-
-    assert detector is not None and fast is not None
-    mismatches: List[str] = []
-    if fast.summary() != detector.report.summary():
-        mismatches.append("fast: summary differs from replay")
-    if ([r.pair_key for r in fast.races]
-            != [r.pair_key for r in detector.races]):
-        mismatches.append("fast: race list differs from replay")
-    stats, golden_stats = fast.perf_stats, detector.perf_stats
-    for key in _INVARIANT_PERF:
-        if stats[key] != golden_stats[key]:
-            mismatches.append(
-                f"fast: {key} {stats[key]} != {golden_stats[key]}"
-            )
-
-    return ThroughputBenchResult(
-        name=name,
-        scale=scale,
-        num_events=fast.num_events,
-        num_access_events=fast.num_access_events,
-        num_structure_events=fast.num_structure_events,
-        num_tasks=fast.num_tasks,
-        num_locations=fast.num_locations,
-        races=len(fast.races),
-        replay_seconds=replay_best,
-        fast_timings=fast_timings,
-        identical=not mismatches,
-        mismatches=mismatches,
-    )
-
-
 @dataclass
-class TelemetryBenchResult:
-    """One workload's trace checked twice by the fast-path engine:
+class LegResults:
+    """Some legs of one ``repro-bench`` row.
 
-    * ``detached`` — plain ``check_trace_fast(trace)``, no telemetry
-      object anywhere (the PR 3 null-object contract: this leg must be
-      byte-identical to a build without ``repro.obs.live`` imported);
-    * ``served`` — the same call with a :class:`~repro.obs.live.
-      LiveTelemetry` progress counter attached, the 250 ms runtime
-      sampler running, the HTTP exporter bound to an ephemeral port and
-      an in-process scraper hitting ``/metrics`` every 250 ms — the
-      worst realistic observation load a long run sees.
-
-    ``identical`` records the equivalence gate: both legs produced the
-    same ``RaceReport.summary()`` text, the same ordered race pair list
-    and the same invariant perf counters.  ``telemetry_overhead_pct`` is
-    the served/detached wall-time slowdown the ≤5 % acceptance gate
-    applies to (best-of-``repeats`` per leg, same process, so box-speed
-    noise mostly cancels).
+    ``legs`` maps a leg name to its row: ``status`` is ``"ok"``,
+    ``"declined"`` (DePa refusing a future ``get`` with
+    ``UnsupportedConstructError``, an honest fragment boundary, not a
+    failure) or ``"error"``; a completed leg carries its
+    best-of-``repeats`` wall ``seconds`` and its ``races``.  ``counts``
+    holds the workload's event counts as the legs saw them.
+    ``mismatches`` lists every way a leg's verdicts differ from its
+    group's golden leg, and every ``error`` leg (empty = identical).
+    Mismatches are recorded, not raised, so a violation still lands in
+    the artifact.
     """
 
-    name: str
-    scale: str
-    num_events: int
-    num_access_events: int
-    races: int
-    detached_seconds: float
-    served_seconds: float
-    scrapes: int               #: successful /metrics fetches in the served leg
-    samples: int               #: sampler ticks observed in the served leg
-    identical: bool
+    legs: Dict[str, Dict[str, Any]]
+    counts: Dict[str, int] = field(default_factory=dict)
     mismatches: List[str] = field(default_factory=list)
 
-    @property
-    def telemetry_overhead_pct(self) -> float:
-        d = self.detached_seconds
-        return (self.served_seconds - d) / d * 100.0 if d else 0.0
 
-    @property
-    def detached_events_per_second(self) -> float:
-        s = self.detached_seconds
-        return self.num_events / s if s else 0.0
-
-    @property
-    def served_events_per_second(self) -> float:
-        s = self.served_seconds
-        return self.num_events / s if s else 0.0
+def _bench(name: str) -> BenchmarkDef:
+    return BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
 
 
-def run_telemetry_benchmark(
-    name: str,
-    scale: str = "small",
-    *,
-    repeats: int = 3,
-    verify: bool = True,
-    interval: float = 0.25,
-) -> TelemetryBenchResult:
-    """Measure the live-telemetry plane's checking overhead on one
-    workload (see :class:`TelemetryBenchResult`).
+def _rate(count: int, seconds: float) -> float:
+    return round(count / seconds, 1) if seconds else 0.0
 
-    Records the trace once, then runs a detached leg and a served leg
-    back-to-back in this process; each leg is best-of-``repeats``.  The
-    served leg keeps one LiveTelemetry (sampler + HTTP exporter) running
-    across its repeats and scrapes its own ``/metrics`` endpoint every
-    ``interval`` seconds from a background thread, so the number includes
-    exposition rendering and sampler contention, not just the progress
-    counter bumps."""
+
+def _verdict_diffs(leg: str, result, golden, *,
+                   counters: bool = False) -> List[str]:
+    """How ``result`` (a detector or a ``FastCheckResult``) differs from
+    the golden ``replay[dtrg]`` detector: ``RaceReport.summary()`` text,
+    ordered race pair list and, with ``counters``, the invariant perf
+    counters."""
+    diffs: List[str] = []
+    if result.report.summary() != golden.report.summary():
+        diffs.append(f"{leg}: summary differs from replay[dtrg]")
+    if ([r.pair_key for r in result.races]
+            != [r.pair_key for r in golden.races]):
+        diffs.append(f"{leg}: race list differs from replay[dtrg]")
+    if counters:
+        stats, want = result.perf_stats, golden.perf_stats
+        diffs.extend(
+            f"{leg}: {key} {stats[key]} != {want[key]}"
+            for key in _INVARIANT_PERF if stats[key] != want[key]
+        )
+    return diffs
+
+
+def _served_leg(trace, repeats: int):
+    """Time ``check_trace_fast(trace)`` best-of-``repeats`` under one
+    LiveTelemetry (progress counter attached, 250 ms sampler running)
+    while a background thread scrapes its ``/metrics`` every 250 ms.
+    Returns the last result, the best seconds, and the scrape and
+    sampler-tick counts."""
     import threading
     import urllib.request
 
     from repro.core.fastcheck import check_trace_fast
-    from repro.memory.tracer import TraceRecorder
     from repro.obs.live import LiveTelemetry
 
-    bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
-    params = bench.params(scale)
-    recorder = TraceRecorder()
-    run = run_instrumented(
-        lambda rt: bench.parallel(rt, params),
-        detect=False,
-        extra_observers=(recorder,),
-    )
-    if verify:
-        bench.verify(params, run.result)
-    trace = recorder.trace
-
-    detached_best = float("inf")
-    detached = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        detached = check_trace_fast(trace)
-        detached_best = min(detached_best, time.perf_counter() - start)
-
-    served_best = float("inf")
     served = None
+    served_best = float("inf")
     scrapes = 0
+    interval = 0.25
     telemetry = LiveTelemetry(port=0, interval=interval)
     telemetry.start()
     stop = threading.Event()
@@ -420,109 +272,60 @@ def run_telemetry_benchmark(
 
     scraper = threading.Thread(target=_scrape_loop, daemon=True)
     scraper.start()
+    gc.disable()
     try:
         for _ in range(repeats):
-            start = time.perf_counter()
+            gc.collect()
             served = check_trace_fast(trace, progress=telemetry.progress)
-            served_best = min(served_best, time.perf_counter() - start)
+            served_best = min(served_best, served.timings["total_seconds"])
         samples = int(telemetry.sampler.gauges.get("sampler_samples_total", 0))
     finally:
+        gc.enable()
         stop.set()
         scraper.join(timeout=2.0)
         telemetry.stop()
-
-    assert detached is not None and served is not None
-    mismatches: List[str] = []
-    if served.summary() != detached.summary():
-        mismatches.append("served: summary differs from detached")
-    if (
-        [r.pair_key for r in served.races]
-        != [r.pair_key for r in detached.races]
-    ):
-        mismatches.append("served: race list differs from detached")
-    for key in _INVARIANT_PERF:
-        if served.perf_stats[key] != detached.perf_stats[key]:
-            mismatches.append(
-                f"served: {key} {served.perf_stats[key]} "
-                f"!= {detached.perf_stats[key]}"
-            )
-
-    return TelemetryBenchResult(
-        name=name,
-        scale=scale,
-        num_events=detached.num_events,
-        num_access_events=detached.num_access_events,
-        races=len(detached.races),
-        detached_seconds=detached_best,
-        served_seconds=served_best,
-        scrapes=scrapes,
-        samples=samples,
-        identical=not mismatches,
-        mismatches=mismatches,
-    )
+    return served, served_best, scrapes, samples
 
 
-#: Engine rows of the ``--backends`` head-to-head, in report order.  The
-#: first row is the golden engine the others are gated against.
-BACKEND_ENGINES = ("dtrg", "array", "depa", "vc")
-
-
-@dataclass
-class BackendBenchResult:
-    """One workload's recorded trace replayed through every PRECEDE
-    backend (``DeterminacyRaceDetector(engine=…)``) back-to-back in the
-    same process — the head-to-head table of docs/ALGORITHM.md §14.4.
-
-    ``per_engine`` maps each engine to its row: ``status`` is ``"ok"``,
-    ``"declined"`` (DePa refusing a future ``get`` with
-    ``UnsupportedConstructError`` — an honest fragment boundary, not a
-    failure) or ``"error"``; completed rows carry best-of-``repeats``
-    replay wall seconds, the events/s they imply, the race count and the
-    engine's own perf counters.
-
-    The equivalence gate is the *verdict stream* only: every completed
-    engine must reproduce the golden (first) engine's
-    ``RaceReport.summary()`` text and ordered race pair list
-    bit-for-bit.  Perf counters are per-engine invariants — a vector
-    clock is never consulted the way a shadow memory consults PRECEDE —
-    so they are reported, not gated (the dtrg/array counter bit-match
-    has its own gate in ``--throughput`` and the fuzzer).
-    """
-
-    name: str
-    scale: str
-    num_events: int
-    num_access_events: int
-    num_tasks: int
-    num_gets: int
-    races: int
-    per_engine: Dict[str, Dict[str, Any]]
-    identical: bool
-    mismatches: List[str] = field(default_factory=list)
-
-
-def run_backend_benchmark(
+def run_trace_legs(
     name: str,
     scale: str = "small",
     *,
-    engines: tuple = BACKEND_ENGINES,
-    repeats: int = 2,
+    repeats: int = 3,
     verify: bool = True,
-) -> BackendBenchResult:
-    """Record one workload's trace, then replay it through each PRECEDE
-    backend (see :class:`BackendBenchResult`).
+) -> LegResults:
+    """Record one workload's trace once, then check it on every trace
+    leg back-to-back in this process.
 
-    The workload runs **once** with only a trace recorder attached; every
-    engine then re-checks the same recorded stream through the full
-    detector (shadow memory included), so the rows differ only in the
-    PRECEDE data structure behind them.  Wall times are
-    best-of-``repeats`` per engine.  Mismatches are recorded, not
-    raised, so a violation still lands in the artifact."""
+    * ``replay[engine]`` — :func:`~repro.memory.tracer.replay_trace` into
+      ``DeterminacyRaceDetector(engine=…)`` for each of
+      :data:`REPLAY_ENGINES`; ``replay[dtrg]``, the paper reference
+      engine, is the golden leg.
+    * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the
+      recorded columns, with its own phase timings.
+    * ``fast+served`` — the same call with a
+      :class:`~repro.obs.live.LiveTelemetry` progress counter attached,
+      its 250 ms sampler running and a background thread scraping its
+      ``/metrics`` every 250 ms: the worst realistic observation load a
+      long run sees.
+
+    The replay legs and ``fast`` alternate for ``repeats`` rounds, so a
+    slow spell of a shared box hits both sides of a ratio, not one.
+    ``fast+served`` then runs ``repeats`` times under one LiveTelemetry.
+    The collector is parked throughout and run by hand before each timed
+    call, so no collection lands inside a leg and every leg starts from
+    the same heap — ``fast`` and ``fast+served`` in particular, whose
+    ratio is the telemetry overhead.  Every completed replay leg must
+    reproduce ``replay[dtrg]``'s summary and ordered race pair list;
+    ``fast`` and ``fast+served`` must also match its invariant perf
+    counters.
+    """
     from repro.core.detector import DeterminacyRaceDetector
+    from repro.core.fastcheck import check_trace_fast
     from repro.memory.tracer import TraceRecorder, replay_trace
     from repro.runtime.errors import UnsupportedConstructError
 
-    bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
+    bench = _bench(name)
     params = bench.params(scale)
     recorder = TraceRecorder()
     run = run_instrumented(
@@ -533,131 +336,125 @@ def run_backend_benchmark(
     if verify:
         bench.verify(params, run.result)
     trace = recorder.trace
-    metrics = run.metrics
+    num_events = len(trace)
 
-    per_engine: Dict[str, Dict[str, Any]] = {}
+    legs: Dict[str, Dict[str, Any]] = {}
     mismatches: List[str] = []
-    golden_summary: Optional[str] = None
-    golden_pairs: Optional[List] = None
-    golden_races = 0
-    for engine in engines:
-        best = float("inf")
-        detector = None
-        status = "ok"
-        detail = ""
+    detectors: Dict[str, Any] = {}
+    best: Dict[str, float] = {}
+    fast = None
+    fast_timings: Dict[str, float] = {}
+    gc.disable()
+    try:
         for _ in range(repeats):
-            detector = DeterminacyRaceDetector(engine=engine)
-            start = time.perf_counter()
-            try:
-                replay_trace(trace, [detector])
-            except UnsupportedConstructError as exc:
-                status, detail, detector = "declined", str(exc), None
-                break
-            except Exception as exc:
-                status = "error"
-                detail = f"{type(exc).__name__}: {exc}"
-                detector = None
-                break
-            best = min(best, time.perf_counter() - start)
-        row: Dict[str, Any] = {"status": status}
-        if detail:
-            row["detail"] = detail
-        if detector is not None:
-            row["seconds"] = best
-            row["events_per_second"] = (
-                round(len(trace) / best, 1) if best else 0.0
-            )
-            row["races"] = len(detector.races)
-            row["perf"] = detector.perf_stats
-            summary = detector.report.summary()
-            pairs = [r.pair_key for r in detector.races]
-            if golden_summary is None:
-                golden_summary = summary
-                golden_pairs = pairs
-                golden_races = len(pairs)
-            else:
-                if summary != golden_summary:
-                    mismatches.append(
-                        f"{engine}: summary differs from {engines[0]}"
-                    )
-                if pairs != golden_pairs:
-                    mismatches.append(
-                        f"{engine}: race list differs from {engines[0]}"
-                    )
-        elif status == "error":
-            mismatches.append(f"{engine}: {detail}")
-        per_engine[engine] = row
+            for engine in REPLAY_ENGINES:
+                leg = f"replay[{engine}]"
+                if leg in legs:  # declined or failed: not retried
+                    continue
+                detector = DeterminacyRaceDetector(engine=engine)
+                gc.collect()
+                start = time.perf_counter()
+                try:
+                    replay_trace(trace, [detector])
+                except UnsupportedConstructError as exc:
+                    legs[leg] = {"status": "declined", "detail": str(exc)}
+                    continue
+                except Exception as exc:
+                    detail = f"{type(exc).__name__}: {exc}"
+                    legs[leg] = {"status": "error", "detail": detail}
+                    mismatches.append(f"{leg}: {detail}")
+                    continue
+                best[leg] = min(best.get(leg, float("inf")),
+                                time.perf_counter() - start)
+                detectors[leg] = detector
+            gc.collect()
+            fast = check_trace_fast(trace)
+            for key, value in fast.timings.items():
+                fast_timings[key] = min(fast_timings.get(key, value), value)
+    finally:
+        gc.enable()
 
-    return BackendBenchResult(
-        name=name,
-        scale=scale,
-        num_events=len(trace),
-        num_access_events=metrics.num_shared_accesses,
-        num_tasks=metrics.num_tasks,
-        num_gets=metrics.num_gets,
-        races=golden_races,
-        per_engine=per_engine,
-        identical=not mismatches,
+    served, served_best, scrapes, samples = _served_leg(trace, repeats)
+
+    assert fast is not None and served is not None
+    golden = detectors.get("replay[dtrg]")
+    for leg, detector in detectors.items():
+        legs[leg] = {
+            "status": "ok",
+            "seconds": best[leg],
+            "events_per_second": _rate(num_events, best[leg]),
+            "races": len(detector.races),
+            "perf": detector.perf_stats,
+        }
+    total = fast_timings["total_seconds"]
+    legs["fast"] = {
+        "status": "ok",
+        "seconds": total,
+        "encode_seconds": fast_timings["encode_seconds"],
+        "structure_seconds": fast_timings["structure_seconds"],
+        "access_seconds": fast_timings["access_seconds"],
+        "events_per_second": _rate(num_events, total),
+        "access_events_per_second": _rate(
+            fast.num_access_events, fast_timings["access_seconds"]
+        ),
+        "races": len(fast.races),
+    }
+    legs["fast+served"] = {
+        "status": "ok",
+        "seconds": served_best,
+        "events_per_second": _rate(num_events, served_best),
+        "races": len(served.races),
+        "scrapes": scrapes,
+        "samples": samples,
+    }
+    if golden is not None:
+        for leg, detector in detectors.items():
+            if detector is not golden:
+                mismatches.extend(_verdict_diffs(leg, detector, golden))
+        for leg, result in (("fast", fast), ("fast+served", served)):
+            mismatches.extend(
+                _verdict_diffs(leg, result, golden, counters=True)
+            )
+
+    return LegResults(
+        legs=legs,
+        counts={
+            "num_events": num_events,
+            "num_access_events": fast.num_access_events,
+            "num_structure_events": fast.num_structure_events,
+            "num_locations": fast.num_locations,
+        },
         mismatches=mismatches,
     )
 
 
-@dataclass
-class ExecutorBenchResult:
-    """One workload *executed for real* on every runtime substrate with
-    a fresh online :class:`~repro.core.parallel_detector.ParallelRaceDetector`
-    attached (PR 8).
-
-    ``per_runtime`` maps ``"serial"`` / ``"threads-N"`` to its row:
-    best-of-``repeats`` wall seconds, tasks/s and shadow-checked
-    accesses/s implied by that wall time, the speedup over the serial
-    elision, and (threads rows) the peak pool size — workers plus any
-    compensation threads spawned for blocking ``get``\\ s.
-
-    The equivalence gate is the *racy-location set*: every runtime must
-    report exactly the serial elision's set (race pair order is
-    schedule-dependent; DESIGN.md "Race order under parallel runtimes").
-    The AsyncioRuntime is exercised by the fuzz/property parity sweeps,
-    not here: workload kernels use the synchronous blocking ``get()``
-    style, which the cooperative runtime by design rejects.
-
-    On a single-core box thread-row "speedups" measure scheduling
-    overhead, never parallelism — the artifact records ``cpu_count`` so
-    a reader can judge.
-    """
-
-    name: str
-    scale: str
-    races: int
-    num_tasks: int
-    num_accesses: int
-    identical: bool
-    per_runtime: Dict[str, Dict[str, Any]]
-    mismatches: List[str] = field(default_factory=list)
-
-
-def run_executor_benchmark(
+def run_parallel_legs(
     name: str,
     scale: str = "small",
     *,
-    workers: tuple = (1, 2, 4),
-    repeats: int = 1,
+    repeats: int = 3,
     verify: bool = True,
-) -> ExecutorBenchResult:
-    """Run one workload on the serial elision and on a work-stealing
-    ThreadRuntime at each pool size in ``workers``, detecting online
-    during execution (see :class:`ExecutorBenchResult`).
+) -> LegResults:
+    """Run one workload live with a fresh online
+    :class:`~repro.core.parallel_detector.ParallelRaceDetector` attached:
+    on the serial elision (``parallel[serial]``, the golden leg) and on a
+    work-stealing ThreadRuntime of each :data:`THREAD_WORKERS` pool size
+    (``threads-N``).
 
-    Unlike the trace-replay benchmarks, nothing is recorded and nothing
-    is replayed: every leg is a live run, so thread rows measure the
-    whole contract at once — scheduler, two-tier detector locking, and
-    the verified workload result.  Mismatches are recorded, not raised,
-    so a violation still lands in the artifact."""
+    Nothing is recorded or replayed: every leg is a live run, so the
+    thread legs measure the whole contract at once — scheduler, two-tier
+    detector locking and the verified workload result.  Each thread leg
+    must report exactly the serial leg's racy-location set and task count
+    (race pair order is schedule-dependent; DESIGN.md "Race order under
+    parallel runtimes").  The AsyncioRuntime has no leg: workload kernels
+    use the blocking ``get()`` style it rejects by design.  On a
+    single-core box thread-leg speedups measure scheduling overhead,
+    never parallelism."""
     from repro.core.parallel_detector import ParallelRaceDetector
     from repro.runtime.executor import ThreadRuntime
     from repro.runtime.runtime import Runtime
 
-    bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
+    bench = _bench(name)
     params = bench.params(scale)
 
     def one_leg(make_runtime):
@@ -675,65 +472,42 @@ def run_executor_benchmark(
                 bench.verify(params, result)
         return det, stats, best, pool
 
-    per_runtime: Dict[str, Dict[str, Any]] = {}
-    mismatches: List[str] = []
+    def leg_row(det, stats, best) -> Dict[str, Any]:
+        return {
+            "status": "ok",
+            "seconds": best,
+            "tasks_per_second": _rate(stats["num_tasks"], best),
+            "accesses_per_second": _rate(stats["num_accesses"], best),
+            "races": len(det.races),
+        }
 
-    det, stats, serial_best, _ = one_leg(
-        lambda d: Runtime(observers=[d])
-    )
+    det, stats, serial_best, _ = one_leg(lambda d: Runtime(observers=[d]))
     golden = frozenset(det.racy_locations)
-    races = len(det.races)
     num_tasks = stats["num_tasks"]
-    num_accesses = stats["num_accesses"]
-    per_runtime["serial"] = {
-        "seconds": serial_best,
-        "tasks_per_second": round(num_tasks / serial_best, 1)
-        if serial_best else 0.0,
-        "accesses_per_second": round(num_accesses / serial_best, 1)
-        if serial_best else 0.0,
-        "speedup_vs_serial": 1.0,
-        "races": races,
-    }
-
-    for w in workers:
+    legs = {"parallel[serial]": leg_row(det, stats, serial_best)}
+    mismatches: List[str] = []
+    for w in THREAD_WORKERS:
+        leg = f"threads-{w}"
         det, stats, best, pool = one_leg(
             lambda d, w=w: ThreadRuntime(observers=[d], workers=w)
         )
-        row: Dict[str, Any] = {
-            "workers": w,
-            "pool_size": pool,
-            "seconds": best,
-            "tasks_per_second": round(stats["num_tasks"] / best, 1)
-            if best else 0.0,
-            "accesses_per_second": round(stats["num_accesses"] / best, 1)
-            if best else 0.0,
-            "speedup_vs_serial": round(serial_best / best, 4)
-            if best else 0.0,
-            "races": len(det.races),
-        }
+        legs[leg] = dict(
+            leg_row(det, stats, best), workers=w, pool_size=pool,
+            speedup_vs_serial=round(serial_best / best, 4) if best else 0.0,
+        )
         got = frozenset(det.racy_locations)
         if got != golden:
             mismatches.append(
-                f"threads-{w}: racy locations {sorted(got)} != "
-                f"serial {sorted(golden)}"
+                f"{leg}: racy locations {sorted(got)} != "
+                f"parallel[serial] {sorted(golden)}"
             )
         if stats["num_tasks"] != num_tasks:
             mismatches.append(
-                f"threads-{w}: task count {stats['num_tasks']} != "
-                f"serial {num_tasks}"
+                f"{leg}: task count {stats['num_tasks']} != "
+                f"parallel[serial] {num_tasks}"
             )
-        per_runtime[f"threads-{w}"] = row
 
-    return ExecutorBenchResult(
-        name=name,
-        scale=scale,
-        races=races,
-        num_tasks=num_tasks,
-        num_accesses=num_accesses,
-        identical=not mismatches,
-        per_runtime=per_runtime,
-        mismatches=mismatches,
-    )
+    return LegResults(legs=legs, mismatches=mismatches)
 
 
 def run_benchmark(
@@ -757,7 +531,7 @@ def run_benchmark(
     columns are identical with and without it (pinned by
     ``tests/integration/test_obs_integration.py``).
     """
-    bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
+    bench = _bench(name)
     params = bench.params(scale)
 
     seq_best = float("inf")

@@ -66,7 +66,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.cli import NON_NEGATIVE_INT, PORT, POSITIVE_INT, PROBABILITY
+from repro.cli import (
+    NON_NEGATIVE_FLOAT,
+    NON_NEGATIVE_INT,
+    PORT,
+    POSITIVE_INT,
+    PROBABILITY,
+)
 from repro.harness.report import render_kv, render_table
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.runtime.errors import UnsupportedConstructError
@@ -859,7 +865,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="serve live campaign telemetry over HTTP "
                              "(/metrics, /healthz, /snapshot); PORT 0 "
                              "binds an ephemeral port (printed to stderr)")
-    parser.add_argument("--heartbeat", type=float, default=0.0,
+    parser.add_argument("--heartbeat", type=NON_NEGATIVE_FLOAT, default=0.0,
                         metavar="SECS",
                         help="stderr heartbeat every SECS seconds (seeds "
                              "processed, unique failures, ETA); 0 disables")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 from typing import Callable, Dict, List
 
+from repro.cli import POSITIVE_INT
 from repro.graph import EdgeKind, GraphBuilder
 from repro.harness.report import render_table
 from repro.runtime.runtime import Runtime
@@ -76,7 +77,7 @@ def main(argv: List[str] | None = None) -> int:
                         choices=sorted(GRAPH_WORKLOADS))
     parser.add_argument("--scale", default="small",
                         choices=("tiny", "small", "table2"))
-    parser.add_argument("--workers", nargs="*", type=int,
+    parser.add_argument("--workers", nargs="*", type=POSITIVE_INT,
                         default=[1, 2, 4, 8, 16])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

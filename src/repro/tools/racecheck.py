@@ -104,7 +104,7 @@ from repro.core.parallel_detector import ParallelRaceDetector
 from repro.graph import GraphBuilder, ReachabilityClosure, to_dot
 from repro.harness.metrics import MetricsCollector
 from repro.core.events import ExecutionObserver
-from repro.cli import PORT
+from repro.cli import NON_NEGATIVE_FLOAT, PORT, POSITIVE_FLOAT, POSITIVE_INT
 from repro.memory.tracer import TraceRecorder
 from repro.runtime.errors import RaceError, UnsupportedConstructError
 from repro.runtime.asyncio_runtime import AsyncioRuntime
@@ -155,7 +155,8 @@ def main(argv: List[str] | None = None) -> int:
                              "elision (default), the work-stealing "
                              "ThreadRuntime, or the cooperative "
                              "AsyncioRuntime (requires async def program)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
+    parser.add_argument("--workers", type=POSITIVE_INT, default=None,
+                        metavar="N",
                         help="worker-thread count for --runtime threads")
     parser.add_argument("--policy", default="collect",
                         choices=("collect", "raise"))
@@ -200,23 +201,17 @@ def main(argv: List[str] | None = None) -> int:
                              "exposition), /healthz, /snapshot (JSON). "
                              "PORT 0 binds an ephemeral port (printed to "
                              "stderr)")
-    parser.add_argument("--heartbeat", type=float, default=0.0,
+    parser.add_argument("--heartbeat", type=NON_NEGATIVE_FLOAT, default=0.0,
                         metavar="SECS",
                         help="print a progress heartbeat line to stderr "
                              "every SECS seconds (events processed, races "
                              "so far, ETA); 0 disables (default)")
-    parser.add_argument("--sample-interval", type=float, default=0.25,
+    parser.add_argument("--sample-interval", type=POSITIVE_FLOAT,
+                        default=0.25,
                         metavar="SECS", dest="sample_interval",
                         help="live-telemetry sampler cadence "
                              "(default 0.25)")
     args = parser.parse_args(argv)
-
-    if args.heartbeat < 0:
-        print("error: --heartbeat must be >= 0", file=sys.stderr)
-        return 2
-    if args.sample_interval <= 0:
-        print("error: --sample-interval must be > 0", file=sys.stderr)
-        return 2
 
     concurrent = args.runtime != "serial"
     if args.detector is None:
@@ -231,9 +226,6 @@ def main(argv: List[str] | None = None) -> int:
     if args.workers is not None and args.runtime != "threads":
         print("error: --workers only applies to --runtime threads",
               file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     if concurrent:
         blocked = [

@@ -87,6 +87,8 @@ def test_replay_corpus_cli(capsys):
     pytest.param(["--p-task", "-0.1"], id="p-task=-0.1"),
     pytest.param(["--p-get", "2"], id="p-get=2"),
     pytest.param(["--p-get", "nan"], id="p-get=nan"),
+    pytest.param(["--heartbeat", "-1"], id="heartbeat=-1"),
+    pytest.param(["--heartbeat", "nan"], id="heartbeat=nan"),
 ])
 def test_bad_seed_range_is_a_usage_error(bad, capsys):
     argv = ["--seeds", bad] if isinstance(bad, str) else bad

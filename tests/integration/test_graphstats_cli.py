@@ -15,8 +15,10 @@ def test_cli_prints_profile(capsys):
 
 
 def test_cli_rejects_unknown_workload():
-    with pytest.raises(SystemExit):
-        main(["--workload", "Nope"])
+    for bad in (["--workload", "Nope"], ["--workers", "0"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(bad)
+        assert excinfo.value.code == 2
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_WORKLOADS))

@@ -126,10 +126,13 @@ def test_racecheck_heartbeat_emits_final_line(clean_program, capsys):
 
 
 def test_racecheck_rejects_bad_heartbeat_and_interval(clean_program, capsys):
-    assert racecheck_main([clean_program, "--heartbeat", "-1"]) == 2
-    assert "--heartbeat" in capsys.readouterr().err
-    assert racecheck_main([clean_program, "--sample-interval", "0"]) == 2
-    assert "--sample-interval" in capsys.readouterr().err
+    for flag, value in (("--heartbeat", "-1"), ("--heartbeat", "nan"),
+                        ("--sample-interval", "0"),
+                        ("--sample-interval", "nan")):
+        with pytest.raises(SystemExit) as excinfo:
+            racecheck_main([clean_program, flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_racecheck_scrape_midrun_subprocess(tmp_path):
@@ -227,5 +230,8 @@ def test_bench_serve_metrics_and_heartbeat(tmp_path, capsys):
 
 
 def test_bench_rejects_bad_heartbeat(capsys):
-    assert bench_main(["--heartbeat", "-2"]) == 2
-    assert "--heartbeat" in capsys.readouterr().err
+    for value in ("-2", "nan"):
+        with pytest.raises(SystemExit) as excinfo:
+            bench_main(["--heartbeat", value])
+        assert excinfo.value.code == 2
+        assert "--heartbeat" in capsys.readouterr().err
