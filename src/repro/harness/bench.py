@@ -51,10 +51,12 @@ Schema (``repro.bench/2``)::
        "identical": ..., "mismatches": [...]}, ...]}
 
 ``fast_speedup_vs_replay`` is ``replay[dtrg]`` over ``fast`` wall time;
-``served_overhead_pct`` is ``fast+served`` over ``fast``.  Both compare
-legs of one process, so box speed mostly cancels out.  A 1-core box
-tags the document ``"speedup_valid": false`` — thread legs there
-measure scheduling overhead, not parallelism.
+``served_overhead_pct`` is ``fast+served`` over the detached
+``check_trace_fast`` block timed right before it (the leg's
+``detached_seconds``).  Both compare adjacent timings of one process,
+so box speed mostly cancels out.  A 1-core box tags the document
+``"speedup_valid": false`` — thread legs there measure scheduling
+overhead, not parallelism.
 
 ``--baseline FILE`` gates the run against a checked-in
 ``repro.bench.baseline/1`` file (``benchmarks/bench_baseline.json``).
@@ -133,6 +135,7 @@ def bench_row(name: str, scale: str, *, repeats: int = 3,
     }
     fast = legs["fast"]["seconds"]
     replay = legs["replay[dtrg]"].get("seconds", 0.0)
+    detached = legs["fast+served"]["detached_seconds"]
     served = legs["fast+served"]["seconds"]
     mismatches = trace.mismatches + live.mismatches
     return {
@@ -146,7 +149,8 @@ def bench_row(name: str, scale: str, *, repeats: int = 3,
         ),
         "fast_speedup_vs_replay": round(replay / fast, 4) if fast else 0.0,
         "served_overhead_pct": (
-            round((served - fast) / fast * 100.0, 2) if fast else 0.0
+            round((served - detached) / detached * 100.0, 2)
+            if detached else 0.0
         ),
         "structural": {
             "num_tasks": result.metrics.num_tasks,

@@ -52,6 +52,14 @@ def test_bench_every_leg_present_and_identical(tmp_path, capsys):
         assert row["identical"] is True and row["mismatches"] == []
         assert list(LEGS) == sorted(row["legs"], key=LEGS.index)
         assert len(row["legs"]) == 13
+        # The overhead compares the served block with the detached block
+        # timed right before it, not with the earlier ``fast`` rounds.
+        served = row["legs"]["fast+served"]
+        detached = served["detached_seconds"]
+        assert detached > 0
+        assert row["served_overhead_pct"] == round(
+            (served["seconds"] - detached) / detached * 100.0, 2
+        )
     # DePa's labels cover the fork-join fragment only: it declines the
     # workload with a future get and completes the async-finish one.
     assert rows["Series-future"]["legs"]["replay[depa]"]["status"] == \
