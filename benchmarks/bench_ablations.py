@@ -20,6 +20,7 @@ from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.runtime.runtime import Runtime
 from repro.workloads import smith_waterman as sw
 
+#: Every variant runs the reference object engine, the one with the switches.
 VARIANTS = [
     ("full", {}),
     ("no-lsa", {"use_lsa": False}),
@@ -43,7 +44,7 @@ def sw_trace(scale):
 @pytest.mark.parametrize("name,options", VARIANTS, ids=[n for n, _ in VARIANTS])
 def test_ablation(benchmark, sw_trace, name, options):
     def run():
-        det = DeterminacyRaceDetector(**options)
+        det = DeterminacyRaceDetector(engine="object", **options)
         replay_trace(sw_trace, [det])
         return det
 
@@ -53,9 +54,9 @@ def test_ablation(benchmark, sw_trace, name, options):
 
 def test_variants_agree_on_query_counts(sw_trace):
     """The LSA shortcut must not change answers, only visit counts."""
-    full = DeterminacyRaceDetector()
+    full = DeterminacyRaceDetector(engine="object")
     replay_trace(sw_trace, [full])
-    no_lsa = DeterminacyRaceDetector(use_lsa=False)
+    no_lsa = DeterminacyRaceDetector(engine="object", use_lsa=False)
     replay_trace(sw_trace, [no_lsa])
     assert full.racy_locations == no_lsa.racy_locations
     assert full.dtrg.num_precede_queries == no_lsa.dtrg.num_precede_queries

@@ -11,7 +11,9 @@ runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py [--quick]
 
-Four configurations, same workload, min-of-N wall time:
+Four configurations, same workload, min-of-N wall time, all on the
+detector's reference object engine (``engine="object"``, the engine that
+carries the hooks), so the budget compares one engine against itself:
 
 1. **baseline** — detector run exactly as before this layer existed;
 2. **null**     — ``obs=NULL_OBSERVABILITY`` threaded through runtime and
@@ -57,8 +59,11 @@ def _timed(fn) -> float:
 
 
 def _run(params, obs):
+    # Every leg runs the object engine (the one with observability
+    # hooks), so the budget compares one engine against itself.
     return run_instrumented(
-        lambda rt: jacobi.run_future(rt, params), detect=True, obs=obs
+        lambda rt: jacobi.run_future(rt, params), detect=True, obs=obs,
+        detector_options={"engine": "object"},
     )
 
 
@@ -135,7 +140,7 @@ def main(argv=None) -> int:
         scraper.start()
         try:
             for _ in range(repeats):
-                detector = DeterminacyRaceDetector()
+                detector = DeterminacyRaceDetector(engine="object")
                 holder["detector"] = detector
                 run_holder = {}
                 wall = _timed(lambda: run_holder.update(

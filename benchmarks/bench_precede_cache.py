@@ -110,7 +110,7 @@ def bench_workload(name: str, trace, repeats: int) -> float:
         best = float("inf")
         det = None
         for _ in range(repeats):
-            det = DeterminacyRaceDetector(cache_precede=cached)
+            det = DeterminacyRaceDetector(engine="object", cache_precede=cached)
             best = min(best, _timed(lambda d=det: replay_trace(trace, [d])))
         results[cached] = (best, det)
     (off_s, det_off), (on_s, det_on) = results[False], results[True]
@@ -151,7 +151,7 @@ def bench_random_programs(num_programs: int, seed0: int = 0) -> None:
 
         def corpus(cached=cached, locs=locs):
             for trace in traces:
-                det = DeterminacyRaceDetector(cache_precede=cached)
+                det = DeterminacyRaceDetector(engine="object", cache_precede=cached)
                 replay_trace(trace, [det])
                 locs.append(frozenset(det.racy_locations))
 

@@ -57,7 +57,7 @@ def wavefront(rt, grid, handles, *, wait_above: bool):
 
 
 def run(wait_above: bool, provenance=None):
-    det = DeterminacyRaceDetector(provenance=provenance)
+    det = DeterminacyRaceDetector(provenance=provenance, engine="object")
     gb = GraphBuilder()
     rt = Runtime(observers=[det, gb], provenance=provenance)
     grid = SharedNDArray(rt, "grid",

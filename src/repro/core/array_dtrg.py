@@ -19,7 +19,8 @@ column         meaning (indexed by dense task index)
                and the final value is installed in place
 ``final``     ``bytearray`` flag: 1 once ``post`` is final
 ``parent``     spawn-tree parent index, ``-1`` for the root
-``is_future``  ``bytearray`` flag
+``covered``    ``bytearray`` flag: the task is a future or a spawn-tree
+               descendant of one (the shadow check's reader policy)
 ``uf``         union-find parent (Python list — unboxed loads are
                faster than ``array`` in the ``find`` loop)
 ``max_pre``    largest member preorder of the set, valid at *root* slots
@@ -45,8 +46,9 @@ and the ``dtrg[array]`` fuzz ablation): verdicts, ``num_precede_queries``,
 ``num_non_tree_edges`` are bit-identical to the object graph's cache-less
 run on the same event sequence.  The PRECEDE verdict cache is *physical
 root identity*-sensitive (naive union and union-by-rank pick different
-representatives), so this graph always runs cache-less; ``cache`` is
-``None`` and a detector using this engine reports ``cache_* = 0``.
+representatives), so this graph always runs cache-less; ``cache`` is a
+null cache whose counters all read 0, so a detector using this engine
+reports ``cache_* = 0``.
 
 Growth policy: columns grow by plain ``append`` — CPython's ``array`` and
 ``list`` over-allocate geometrically (~12.5% and ~12.5-25% headroom), so
@@ -60,7 +62,18 @@ from typing import Dict, Hashable, List, Optional
 
 from repro.core.labels import MAXID
 
-__all__ = ["ArrayDTRG"]
+__all__ = ["ArrayDTRG", "NO_CACHE"]
+
+
+class _NoCache:
+    """The ``cache`` of a cache-less graph: every counter reads 0."""
+
+    __slots__ = ()
+    hits = misses = invalidations = 0
+    hit_rate = 0.0
+
+
+NO_CACHE = _NoCache()
 
 
 class ArrayDTRG:
@@ -80,8 +93,8 @@ class ArrayDTRG:
     """
 
     __slots__ = (
-        "index", "keys", "names",
-        "pre", "post", "final", "parent", "is_future",
+        "index", "keys",
+        "pre", "post", "final", "parent", "covered",
         "uf", "max_pre", "lsa", "nt",
         "mutation_epoch", "num_precede_queries", "num_visits",
         "num_non_tree_edges", "num_tree_merges",
@@ -92,12 +105,11 @@ class ArrayDTRG:
     def __init__(self) -> None:
         self.index: Dict[Hashable, int] = {}
         self.keys: List[Hashable] = []
-        self.names: List[str] = []
         self.pre = array("q")
         self.post = array("q")
         self.final = bytearray()
         self.parent = array("q")
-        self.is_future = bytearray()
+        self.covered = bytearray()
         self.uf: List[int] = []
         self.max_pre = array("q")
         self.lsa = array("q")
@@ -107,9 +119,10 @@ class ArrayDTRG:
         self.num_visits = 0
         self.num_non_tree_edges = 0
         self.num_tree_merges = 0
-        #: Always ``None``: the array engine runs cache-less (see module
-        #: docstring); kept as an attribute for detector API parity.
-        self.cache = None
+        #: The array engine runs cache-less (see module docstring); the
+        #: null cache keeps ``cache.hits`` & co. readable like the object
+        #: graph's.
+        self.cache = NO_CACHE
         self._dfid = 0
         self._tmpid = MAXID
         self._stamp: List[int] = []
@@ -137,7 +150,7 @@ class ArrayDTRG:
     # ------------------------------------------------------------------ #
     # Mutation — index layer                                             #
     # ------------------------------------------------------------------ #
-    def _new_slot(self, parent_idx: int, is_future: bool, key, name) -> int:
+    def _new_slot(self, parent_idx: int, is_future: bool, key) -> int:
         i = len(self.uf)
         self.pre.append(self._dfid)
         self.post.append(self._tmpid)
@@ -146,11 +159,14 @@ class ArrayDTRG:
         self._tmpid -= 1
         self.final.append(0)
         self.parent.append(parent_idx)
-        self.is_future.append(1 if is_future else 0)
         self.uf.append(i)
         if parent_idx < 0:
+            self.covered.append(0)
             self.lsa.append(-1)
         else:
+            self.covered.append(
+                1 if is_future else self.covered[parent_idx]
+            )
             # Algorithm 2 lines 7-11: LSA is the parent itself if the
             # parent's *set* has incoming non-tree edges, else inherited.
             rp = self.find(parent_idx)
@@ -161,20 +177,19 @@ class ArrayDTRG:
             key = i
         self.index[key] = i
         self.keys.append(key)
-        self.names.append(str(key) if name is None else name)
         return i
 
-    def add_root_idx(self, key=None, name: str = "main") -> int:
+    def add_root_idx(self, key=None) -> int:
         """Register the main task (Algorithm 1).  Returns slot 0."""
         if self.uf:
             raise ValueError("root already added")
-        return self._new_slot(-1, False, key, name)
+        return self._new_slot(-1, False, key)
 
     def add_task_idx(self, parent_idx: int, is_future: bool,
-                     key=None, name: Optional[str] = None) -> int:
+                     key=None) -> int:
         """Register a spawn (Algorithm 2) by parent slot index; the child
         gets the next dense index (== ``key`` when ``key`` is omitted)."""
-        i = self._new_slot(parent_idx, is_future, key, name)
+        i = self._new_slot(parent_idx, is_future, key)
         self.mutation_epoch += 1
         return i
 
@@ -232,15 +247,14 @@ class ArrayDTRG:
     # ------------------------------------------------------------------ #
     # Mutation — key layer (detector-compatible)                         #
     # ------------------------------------------------------------------ #
+    # ``name`` is accepted for protocol parity; display names live with
+    # the caller.
     def add_root(self, key: Hashable, name: str = "main") -> int:
-        return self.add_root_idx(key, name)
+        return self.add_root_idx(key)
 
     def add_task(self, parent_key: Hashable, child_key: Hashable, *,
                  is_future: bool, name: Optional[str] = None) -> int:
-        return self.add_task_idx(
-            self.index[parent_key], is_future, child_key,
-            name or str(child_key),
-        )
+        return self.add_task_idx(self.index[parent_key], is_future, child_key)
 
     def on_terminate(self, key: Hashable) -> None:
         self.on_terminate_idx(self.index[key])

@@ -14,9 +14,11 @@ Engines
     :class:`repro.core.reachability.DynamicTaskReachabilityGraph` — the
     paper's Algorithms 1–10.  The reference implementation; the only
     engine with ablation switches, observability and witnesses.
-``array``
+``array``  (the detector's default)
     :class:`repro.core.array_dtrg.ArrayDTRG` — the same algorithms over
-    flat ``array('q')`` columns (ALGORITHM.md §13).
+    flat ``array('q')`` columns, driven by the integer access kernel of
+    :mod:`repro.core.fastcheck` instead of the shadow memory
+    (ALGORITHM.md §13).
 ``depa``
     :class:`repro.core.depa.DePaBackend` — DePa-style dag-path
     order-maintenance labels (Westrick et al., arXiv:2204.14168) for
@@ -27,7 +29,9 @@ Engines
     §14.2).
 ``vc``
     :class:`repro.core.vc_backend.VectorClockBackend` — future-aware
-    per-task vector clocks (cf. Kumar et al., arXiv:2112.04352),
+    per-task vector clocks (cf. Kumar, Agrawal & Biswas, *Efficient Data
+    Race Detection of Async-Finish Programs Using Vector Clocks*,
+    arXiv:2112.04352, which covers async-finish only),
     promoted from ``baselines/vector_clock.py`` to a full online engine
     that joins producer clocks on ``get`` (ALGORITHM.md §14.3).
 

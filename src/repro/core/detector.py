@@ -69,12 +69,18 @@ class DeterminacyRaceDetector(ExecutionObserver):
         ``bench_precede_cache.py``).
     engine:
         The PRECEDE backend (see :mod:`repro.core.backend`):
-        ``"object"``/``"dtrg"`` (the paper's DTRG, default),
-        ``"array"`` (flat-array DTRG, §13), ``"depa"`` (order-maintenance
-        labels for the fork-join fragment — declines future ``get``
-        edges with :class:`~repro.runtime.errors.UnsupportedConstructError`),
-        or ``"vc"`` (future-aware vector clocks).  All engines produce
-        bit-identical race lists on the fragments they support.
+        ``"array"`` (default: the integer access kernel of
+        :mod:`repro.core.fastcheck` on the flat-array DTRG, §13),
+        ``"object"``/``"dtrg"`` (the paper's DTRG and shadow memory, the
+        reference and the only engine with ablation switches,
+        ``cache_precede=False``, observability and witnesses),
+        ``"depa"`` (order-maintenance labels for the fork-join fragment
+        — declines future ``get`` edges with
+        :class:`~repro.runtime.errors.UnsupportedConstructError`), or
+        ``"vc"`` (future-aware vector clocks).  All engines produce
+        bit-identical race lists on the fragments they support.  The
+        array engine binds ``on_read``/``on_write`` per instance, so a
+        subclass overriding those hooks must pass ``engine="object"``.
     obs:
         Optional :class:`repro.obs.Observability` sink.  When enabled it
         is attached to the DTRG (PRECEDE latency/frontier/cache-outcome
@@ -103,7 +109,9 @@ class DeterminacyRaceDetector(ExecutionObserver):
         The underlying reachability structure (exposed for tests,
         Table 1-style dumps and the metrics harness).
     shadow:
-        The :class:`~repro.core.shadow.ShadowMemory`.
+        The :class:`~repro.core.shadow.ShadowMemory`, or the
+        :class:`~repro.core.fastcheck.AccessKernel` (same counters) for
+        ``engine="array"``.
     witnesses:
         :class:`~repro.obs.provenance.RaceWitness` list, parallel to the
         deduplicated races (empty unless ``provenance`` is attached).
@@ -118,7 +126,7 @@ class DeterminacyRaceDetector(ExecutionObserver):
         memoize_visit: bool = True,
         use_intervals: bool = True,
         cache_precede: bool = True,
-        engine: str = "object",
+        engine: str = "array",
         obs=None,
         provenance=None,
     ) -> None:
@@ -143,40 +151,43 @@ class DeterminacyRaceDetector(ExecutionObserver):
             self.provenance = None
             self._witness_cls = None
         if engine != "object":
-            # Alternative PRECEDE backends (repro.core.backend): the flat
-            # array DTRG, the DePa order-maintenance labels and the
-            # future-aware vector clocks implement only the paper's
-            # default query strategy (the Algorithm 10 ablation switches
-            # are object-graph concepts), and none carry the
-            # observability hooks or the explain_precede witness builder.
-            # cache_precede still gates the shadow memory's epoch memo
-            # below; for engine='array' that keeps shadow_fast_hits /
-            # precede_calls_saved bit-identical to the default detector
-            # (depa/vc have their own epoch schedules — see
-            # docs/ALGORITHM.md §14).
-            if not (use_lsa and memoize_visit and use_intervals):
+            # The other engines implement only the paper's default query
+            # strategy with the epoch memo on (the Algorithm 10 ablation
+            # switches and cache_precede are object-graph concepts), and
+            # none carry the observability hooks or the explain_precede
+            # witness builder.
+            if not (use_lsa and memoize_visit and use_intervals
+                    and cache_precede):
                 raise ValueError(
                     f"engine={engine!r} implements the default query "
-                    "strategy only; ablation switches require "
-                    "engine='object'"
+                    "strategy only; ablation switches and "
+                    "cache_precede=False require engine='object'"
                 )
             if self.obs is not None or self.provenance is not None:
                 raise ValueError(
                     f"engine={engine!r} does not support observability or "
                     "provenance attachments; use engine='object'"
                 )
-            if engine == "array":
-                from repro.core.array_dtrg import ArrayDTRG
+        self._names: dict[int, str] = {}
+        #: tid -> "future-covered": the task is a future or has a future
+        #: among its spawn-tree ancestors.  The shadow memory's reader-set
+        #: policy needs this (not plain ``IsFuture``) to stay sound: a
+        #: future-covered reader's end can be ordered with a later access
+        #: through a ``get`` edge, which breaks the Lemma 4
+        #: pseudo-transitivity the single-async-representative rests on
+        #: (see ``ShadowMemory`` and DESIGN.md).
+        self._future_covered: dict[int, bool] = {}
+        if engine == "array":
+            self._bind_kernel()
+            return
+        if engine == "depa":
+            from repro.core.depa import DePaBackend
 
-                self.dtrg = ArrayDTRG()
-            elif engine == "depa":
-                from repro.core.depa import DePaBackend
+            self.dtrg = DePaBackend()
+        elif engine == "vc":
+            from repro.core.vc_backend import VectorClockBackend
 
-                self.dtrg = DePaBackend()
-            else:
-                from repro.core.vc_backend import VectorClockBackend
-
-                self.dtrg = VectorClockBackend()
+            self.dtrg = VectorClockBackend()
         else:
             self.dtrg = DynamicTaskReachabilityGraph(
                 use_lsa=use_lsa,
@@ -204,15 +215,6 @@ class DeterminacyRaceDetector(ExecutionObserver):
             # After attach_observability so the provenance wrapper composes
             # around the traced twins when both layers are on.
             self.shadow.attach_provenance(self.provenance)
-        self._names: dict[int, str] = {}
-        #: tid -> "future-covered": the task is a future or has a future
-        #: among its spawn-tree ancestors.  The shadow memory's reader-set
-        #: policy needs this (not plain ``IsFuture``) to stay sound: a
-        #: future-covered reader's end can be ordered with a later access
-        #: through a ``get`` edge, which breaks the Lemma 4
-        #: pseudo-transitivity the single-async-representative rests on
-        #: (see ``ShadowMemory`` and DESIGN.md).
-        self._future_covered: dict[int, bool] = {}
 
     # ------------------------------------------------------------------ #
     # Observer hooks                                                     #
@@ -306,6 +308,49 @@ class DeterminacyRaceDetector(ExecutionObserver):
     # ------------------------------------------------------------------ #
     # Internals                                                          #
     # ------------------------------------------------------------------ #
+    def _bind_kernel(self) -> None:
+        """``engine="array"``: drive the integer access kernel online.
+
+        ``on_read``/``on_write`` become instance closures that intern the
+        location with one dict probe, cache the last task's index (as
+        :class:`~repro.memory.tracer.TraceRecorder` does) and call the
+        kernel's check directly — no second dispatch.
+        """
+        from repro.core.fastcheck import AccessKernel
+
+        locs: list = []
+
+        def report(kind: str, prev: int, cur: int, lid: int) -> None:
+            keys = self.dtrg.keys
+            self._report_race(kind, keys[prev], keys[cur], locs[lid])
+
+        kernel = self.shadow = AccessKernel(report)
+        self.dtrg = kernel.dtrg
+        index = kernel.dtrg.index
+        loc_index: dict = {}
+        add_location = kernel.add_location
+
+        def hook(check):
+            last_task = None
+            last_idx = 0
+
+            def on_access(task, loc) -> None:
+                nonlocal last_task, last_idx
+                if task is not last_task:
+                    last_task = task
+                    last_idx = index[task.tid]
+                lid = loc_index.get(loc)
+                if lid is None:
+                    lid = loc_index[loc] = len(locs)
+                    locs.append(loc)
+                    add_location()
+                check(last_idx, lid)
+
+            return on_access
+
+        self.on_read = hook(kernel.read_idx)
+        self.on_write = hook(kernel.write_idx)
+
     def _is_future_covered(self, tid: int) -> bool:
         return self._future_covered[tid]
 

@@ -1,18 +1,23 @@
-"""Single-pass fast race checking over a recorded trace.
+"""The integer access kernel, online and over a recorded trace.
 
-``check_trace_fast`` is the single-thread hot path the ROADMAP's
-"~1M events/s" item calls for: one streaming pass over the columns of a
-:class:`~repro.core.events.Trace` in which *structure* events
-mutate a live :class:`~repro.core.array_dtrg.ArrayDTRG` in place and
-*access* events run Algorithms 8-9 over compact integer-indexed shadow
-state — no per-event Python objects and no replay stand-ins.  The graph
-is mutated in trace order, so every access is checked against the DTRG
-as it stood at that access, never against the finished graph (which
-would hide races, see ``docs/ALGORITHM.md`` §12).
+:class:`AccessKernel` is the one copy of Algorithms 8-9 over integer ids:
+compact integer-indexed shadow state plus a live
+:class:`~repro.core.array_dtrg.ArrayDTRG`, checked one access at a time
+through two closures, ``read_idx(task, lid)`` and ``write_idx(task,
+lid)`` (dense task index, interned location id).  Two drivers share it:
+
+* ``DeterminacyRaceDetector()`` (``engine="array"``, the default) calls
+  the closures from its ``on_read``/``on_write`` hooks *during* the run;
+* :func:`check_trace_fast` replays a recorded
+  :class:`~repro.core.events.Trace` through them: *structure* blocks
+  mutate the DTRG in place, *access* blocks feed the rows to the
+  closures.  The graph is mutated in trace order, so every access is
+  checked against the DTRG as it stood at that access, never against the
+  finished graph (which would hide races, see ``docs/ALGORITHM.md``
+  §12).
 
 The shadow state is the structure-of-arrays form of
-:class:`~repro.core.shadow.ShadowMemory`'s cells, indexed by interned
-location id:
+:class:`~repro.core.shadow.ShadowMemory`'s cells, indexed by location id:
 
 * ``writers[loc]`` — last writing task index (``-1`` none),
 * ``readers[loc]`` — retained parallel-reader index list (``None`` until
@@ -23,29 +28,31 @@ location id:
 
 Equivalence contract (pinned by
 ``tests/properties/test_array_equivalence.py``, the golden tests and the
-``dtrg[fast]`` fuzz row):
-race list, detection order, ``RaceReport.summary()``, ``#AvgReaders`` and
-the invariant ``DetectorPerf`` counters (``precede_queries``,
-``mutation_epoch``, ``shadow_fast_hits``, ``precede_calls_saved``) are
-bit-identical to the sequential replay detector; ``cache_*`` report 0
+``dtrg[array]`` / ``dtrg[fast]`` fuzz rows): race list, detection order,
+``RaceReport.summary()``, ``#AvgReaders`` and the invariant
+``DetectorPerf`` counters (``precede_queries``, ``mutation_epoch``,
+``shadow_fast_hits``, ``precede_calls_saved``) are bit-identical to the
+object-graph detector (``engine="object"``); ``cache_*`` report 0
 because the array engine runs cache-less (verdict-cache hit counts are
 physical-root-identity-sensitive, see :mod:`repro.core.array_dtrg`).
 
 The trace's run-length segments (:attr:`~repro.core.events.Trace.runs`)
-do double duty: dispatch is amortized over whole blocks (the access inner
-loop never tests event *types*), and the per-phase wall-clock split the
-bench surfaces (``structure_seconds`` vs ``access_seconds``) falls out of
-timestamping block boundaries instead of single events.
+do double duty in the replay: dispatch is amortized over whole blocks
+(the access loop never tests event *types*), and the per-phase
+wall-clock split the bench surfaces (``structure_seconds`` vs
+``access_seconds``) falls out of timestamping block boundaries instead
+of single events.
 
 Provenance sites recorded in the trace ride along: races carry the two
 accesses' site labels exactly like a detector replaying the trace with
-provenance attached (witness *certificates* are sequential-replay-only).
+provenance attached (witness *certificates* are object-engine-only).
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.array_dtrg import ArrayDTRG
 from repro.core.events import (
@@ -61,7 +68,7 @@ from repro.core.events import (
 )
 from repro.core.races import AccessKind, Race, RaceReport
 
-__all__ = ["FastCheckResult", "check_trace_fast"]
+__all__ = ["AccessKernel", "FastCheckResult", "check_trace_fast"]
 
 _KIND = {
     "read-write": AccessKind.READ_WRITE,
@@ -70,30 +77,225 @@ _KIND = {
 }
 
 
+class AccessKernel:
+    """Algorithms 8-9 over integer ids on a live :class:`ArrayDTRG`.
+
+    ``report(kind, prev_idx, cur_idx, lid)`` is the race sink; it may
+    raise (``--policy raise``) and abort the check like the object
+    engine's.  Each location gets its shadow cell before its first access:
+    one at a time from ``add_location()``, in bulk from
+    :meth:`add_locations`.  The counter attributes mirror
+    :class:`~repro.core.shadow.ShadowMemory`'s, so a detector exposes the
+    kernel as its ``shadow``.
+    """
+
+    __slots__ = (
+        "dtrg", "writers", "readers", "fast_reader", "fast_epoch",
+        "read_idx", "write_idx", "add_location", "_counts",
+    )
+
+    def __init__(self, report: Callable[[str, int, int, int], None]) -> None:
+        dtrg = self.dtrg = ArrayDTRG()
+        writers: List[int] = []
+        readers: List[Optional[list]] = []
+        fast_reader: List[int] = []
+        fast_epoch: List[int] = []
+        self.writers = writers
+        self.readers = readers
+        self.fast_reader = fast_reader
+        self.fast_epoch = fast_epoch
+        covered = dtrg.covered
+        precede = dtrg.precede_idx
+        n_acc = 0
+        total_readers = 0
+        fast_read = 0
+        fast_write = 0
+        saved = 0
+
+        def write_idx(task: int, lid: int) -> None:
+            """Algorithm 8."""
+            nonlocal n_acc, total_readers, fast_write, saved
+            n_acc += 1
+            rl = readers[lid]
+            w = writers[lid]
+            fast_reader[lid] = -1
+            if rl:
+                nr = len(rl)
+                total_readers += nr
+                surviving = None
+                vw = -1  # the writer's verdict if the writer also read
+                for i in range(nr):
+                    x = rl[i]
+                    v = precede(x, task)
+                    if x == w:
+                        vw = 1 if v else 0
+                    if v:
+                        if surviving is None:
+                            surviving = rl[:i]
+                    else:
+                        report("read-write", x, task, lid)
+                        if surviving is not None:
+                            surviving.append(x)
+                if surviving is not None:
+                    readers[lid] = surviving
+                if w >= 0 and w != task:
+                    if vw >= 0:
+                        saved += 1
+                        v = vw
+                    else:
+                        v = precede(w, task)
+                    if not v:
+                        report("write-write", w, task, lid)
+            elif w < 0 or w == task:
+                # Structural fast path: empty reader loop + skipped or
+                # reflexive writer check.
+                fast_write += 1
+            elif not precede(w, task):
+                report("write-write", w, task, lid)
+            writers[lid] = task
+
+        def read_idx(task: int, lid: int) -> None:
+            """Algorithm 9."""
+            nonlocal n_acc, total_readers, fast_read, saved
+            n_acc += 1
+            rl = readers[lid]
+            w = writers[lid]
+            if rl:
+                nr = len(rl)
+                total_readers += nr
+                if (w < 0 or w == task) and nr == 1 and rl[0] == task:
+                    # Structural fast path: sole-self reader, reflexive
+                    # retire-and-reappend.
+                    fast_read += 1
+                    saved += 1
+                    return
+                if (fast_reader[lid] == task
+                        and fast_epoch[lid] == dtrg.mutation_epoch):
+                    # Epoch memo: pure replay of this task's last clean
+                    # check against an unmutated DTRG.
+                    fast_read += 1
+                    saved += nr + (0 if w < 0 or w == task else 1)
+                    return
+                update = False
+                tif = covered[task]
+                surviving = None
+                for i in range(nr):
+                    x = rl[i]
+                    if precede(x, task):
+                        update = True
+                        if surviving is None:
+                            surviving = rl[:i]
+                        continue
+                    if tif or covered[x]:
+                        update = True
+                    if surviving is not None:
+                        surviving.append(x)
+                if surviving is not None:
+                    readers[lid] = rl = surviving
+            elif w < 0 or w == task:
+                # Structural fast path: first reader, no writer check
+                # (deviation: always record the first reader).
+                fast_read += 1
+                if rl is None:
+                    readers[lid] = [task]
+                else:
+                    rl.append(task)
+                return
+            elif (fast_reader[lid] == task
+                    and fast_epoch[lid] == dtrg.mutation_epoch):
+                fast_read += 1
+                saved += 1  # the skipped writer check
+                return
+            else:
+                update = True  # deviation: record the first reader
+            raced = False
+            if w >= 0 and w != task and not precede(w, task):
+                report("write-read", w, task, lid)
+                raced = True
+            if update and (rl is None or task not in rl):
+                if rl is None:
+                    readers[lid] = [task]
+                else:
+                    rl.append(task)
+            if raced:
+                fast_reader[lid] = -1
+            else:
+                fast_reader[lid] = task
+                fast_epoch[lid] = dtrg.mutation_epoch
+
+        def counts() -> tuple:
+            return n_acc, total_readers, fast_read + fast_write, saved
+
+        # Bound appends: the online driver adds one cell per new location.
+        add_writer, add_readers = writers.append, readers.append
+        add_fast_reader, add_fast_epoch = fast_reader.append, fast_epoch.append
+
+        def add_location() -> None:
+            add_writer(-1)
+            add_readers(None)
+            add_fast_reader(-1)
+            add_fast_epoch(-1)
+
+        self.read_idx = read_idx
+        self.write_idx = write_idx
+        self.add_location = add_location
+        self._counts = counts
+
+    def add_locations(self, n: int) -> None:
+        """Append ``n`` fresh shadow cells (ids ``num_locations`` on)."""
+        self.writers.extend([-1] * n)
+        self.readers.extend([None] * n)
+        self.fast_reader.extend([-1] * n)
+        self.fast_epoch.extend([-1] * n)
+
+    # ------------------------------------------------------------------ #
+    # ShadowMemory-compatible counters                                   #
+    # ------------------------------------------------------------------ #
+    @property
+    def num_accesses(self) -> int:
+        return self._counts()[0]
+
+    @property
+    def total_readers_seen(self) -> int:
+        return self._counts()[1]
+
+    @property
+    def num_fast_path_hits(self) -> int:
+        """Accesses resolved without running the full Algorithm 8/9 body."""
+        return self._counts()[2]
+
+    @property
+    def num_precede_calls_saved(self) -> int:
+        return self._counts()[3]
+
+    @property
+    def num_locations(self) -> int:
+        return len(self.writers)
+
+    @property
+    def avg_readers(self) -> float:
+        """Paper's ``#AvgReaders`` (see :attr:`ShadowMemory.avg_readers`)."""
+        n_acc, total = self._counts()[:2]
+        return total / n_acc if n_acc else 0.0
+
+
 class FastCheckResult:
-    """Outcome of a fast single-pass check, duck-typed like a
+    """Outcome of :func:`check_trace_fast`, duck-typed like a
     :class:`~repro.core.detector.DeterminacyRaceDetector` where the
     harness/CLI consume it (``report``, ``races``, ``racy_locations``,
     ``perf_stats``, ``avg_readers``, ``summary()``), plus the live
     :class:`ArrayDTRG` (``dtrg``) for introspection."""
 
+    #: Counters, 0 until :func:`check_trace_fast` fills them in.
+    num_tasks = num_events = num_access_events = num_structure_events = 0
+    num_locations = num_visits = num_non_tree_edges = num_tree_merges = 0
+    mutation_epoch = num_precede_queries = shadow_fast_hits = 0
+    precede_calls_saved = num_accesses = 0
+    avg_readers = 0.0
+
     def __init__(self) -> None:
         self.report = RaceReport(dedupe=True)
         self.dtrg: Optional[ArrayDTRG] = None
-        self.num_tasks = 0
-        self.num_events = 0
-        self.num_access_events = 0
-        self.num_structure_events = 0
-        self.num_locations = 0
-        self.num_visits = 0
-        self.num_non_tree_edges = 0
-        self.num_tree_merges = 0
-        self.mutation_epoch = 0
-        self.num_precede_queries = 0
-        self.shadow_fast_hits = 0
-        self.precede_calls_saved = 0
-        self.num_accesses = 0
-        self.total_readers_seen = 0
         #: ``encode_seconds`` (encoding an event iterable; a
         #: :class:`~repro.core.events.Trace` needs none),
         #: ``structure_seconds`` (DTRG mutation blocks), ``access_seconds``
@@ -109,20 +311,13 @@ class FastCheckResult:
         return self.report.racy_locations
 
     @property
-    def avg_readers(self) -> float:
-        if not self.num_accesses:
-            return 0.0
-        return self.total_readers_seen / self.num_accesses
-
-    @property
     def events_per_second(self) -> float:
         total = self.timings.get("total_seconds", 0.0)
         return self.num_events / total if total > 0 else 0.0
 
     @property
     def access_events_per_second(self) -> float:
-        """Throughput of the access-check phase alone — the quantity the
-        ISSUE 6 acceptance criterion tracks."""
+        """Throughput of the access-check phase alone."""
         secs = self.timings.get("access_seconds", 0.0)
         return self.num_access_events / secs if secs > 0 else 0.0
 
@@ -185,43 +380,26 @@ def check_trace_fast(
             )
         names_list.append(name)
 
-    dtrg = ArrayDTRG()
-    dtrg.add_root_idx(task_keys[0], names_list[0])
-    add_task_idx = dtrg.add_task_idx
-    on_terminate_idx = dtrg.on_terminate_idx
-    record_join_idx = dtrg.record_join_idx
-    merge_idx = dtrg.merge_idx
-    precede = dtrg.precede_idx
-
-    #: Future-covered flag per task index (future or spawn-descendant of
-    #: one) — the strengthened ``IsFuture`` the reader policy needs.
-    covered = bytearray(1)
-    #: fid -> [owner_idx, join_idx_list] (root finish 0 owned by main).
-    scopes: Dict[int, list] = {0: [0, []]}
-
-    n_locs = enc.num_locations
-    writers = [-1] * n_locs
-    readers: List[Optional[list]] = [None] * n_locs
-    fast_reader = [-1] * n_locs
-    fast_epoch = [-1] * n_locs
-
     report = FastCheckResult()
-    report.dtrg = dtrg
     add_race = report.report.add
     locs = enc.locs
     sites = enc.access_sites
-    retain = sites is not None
     read_sites: Dict[int, Dict[int, Optional[str]]] = {}
     write_sites: Dict[int, tuple] = {}
+    row = -1  # access row being checked; read by _report for its site
 
-    def _report(kind: str, prev: int, cur: int, lid: int, row: int) -> None:
+    def _report(kind: str, prev: int, cur: int, lid: int) -> None:
         # Rare path: build the Race exactly as the sequential detector
         # would, with the sites a provenance-attached replay would adopt.
-        if kind == "read-write":
-            prev_site = read_sites.get(lid, {}).get(prev)
+        if sites is None:
+            prev_site = current_site = None
         else:
-            ws = write_sites.get(lid)
-            prev_site = ws[1] if ws is not None and ws[0] == prev else None
+            if kind == "read-write":
+                prev_site = read_sites.get(lid, {}).get(prev)
+            else:
+                ws = write_sites.get(lid)
+                prev_site = ws[1] if ws is not None and ws[0] == prev else None
+            current_site = sites[row]
         add_race(Race(
             loc=locs[lid],
             kind=_KIND[kind],
@@ -230,27 +408,33 @@ def check_trace_fast(
             prev_name=names_list[prev],
             current_name=names_list[cur],
             prev_site=prev_site,
-            current_site=sites[row] if retain else None,
+            current_site=current_site,
         ))
         if progress is not None:
             progress.add_races(1)
 
-    # Hot locals.
-    acc = enc.access
+    kernel = AccessKernel(_report)
+    kernel.add_locations(enc.num_locations)
+    read, write = kernel.read_idx, kernel.write_idx
+    dtrg = report.dtrg = kernel.dtrg
+    dtrg.add_root_idx(task_keys[0])
+    add_task_idx = dtrg.add_task_idx
+    on_terminate_idx = dtrg.on_terminate_idx
+    record_join_idx = dtrg.record_join_idx
+    merge_idx = dtrg.merge_idx
+    #: fid -> [owner_idx, join_idx_list] (root finish 0 owned by main).
+    scopes: Dict[int, list] = {0: [0, []]}
+
+    acc = iter(enc.access)
+    rows = zip(acc, acc, acc)  # (is_write, task_idx, loc_id)
     structure = enc.structure
     runs = enc.runs
-    total_readers = 0
-    fast_read = 0
-    fast_write = 0
-    saved = 0
-    cur_epoch = 0  # mirrors dtrg.mutation_epoch between structure blocks
     structure_seconds = 0.0
     access_seconds = 0.0
 
     if progress is not None:
         progress.set_total(len(enc))
 
-    j = 0   # next access row offset (in ints, rows are 3 wide)
     si = 0  # next structure tuple index
     for ri in range(0, len(runs), 2):
         n_run = runs[ri + 1]
@@ -258,148 +442,24 @@ def check_trace_fast(
             progress.add(n_run)
         t_blk = perf_counter()
         if runs[ri] == RUN_ACCESS:
-            end = j + 3 * n_run
-            while j < end:
-                is_write = acc[j]
-                task = acc[j + 1]
-                lid = acc[j + 2]
-                j += 3
-                rl = readers[lid]
-                w = writers[lid]
-                if is_write:
-                    # ----------------- Algorithm 8: write ------------- #
-                    if rl:
-                        nr = len(rl)
-                        total_readers += nr
-                        fast_reader[lid] = -1
-                        surviving = None
-                        vw = -1  # writer's verdict if the writer also read
-                        for i2 in range(nr):
-                            x = rl[i2]
-                            v = precede(x, task)
-                            if x == w:
-                                vw = 1 if v else 0
-                            if v:
-                                if surviving is None:
-                                    surviving = rl[:i2]
-                            else:
-                                _report("read-write", x, task, lid,
-                                        (j - 3) // 3)
-                                if surviving is not None:
-                                    surviving.append(x)
-                        if surviving is not None:
-                            readers[lid] = surviving
-                        if w >= 0 and w != task:
-                            if vw >= 0:
-                                saved += 1
-                                v = vw
-                            else:
-                                v = precede(w, task)
-                            if not v:
-                                _report("write-write", w, task, lid,
-                                        (j - 3) // 3)
-                        writers[lid] = task
-                    elif w < 0 or w == task:
-                        # Structural fast path: empty reader loop +
-                        # skipped/reflexive writer check.
-                        fast_write += 1
-                        fast_reader[lid] = -1
-                        writers[lid] = task
+            if sites is None:
+                for is_write, task, lid in islice(rows, n_run):
+                    if is_write:
+                        write(task, lid)
                     else:
-                        fast_reader[lid] = -1
-                        if not precede(w, task):
-                            _report("write-write", w, task, lid,
-                                    (j - 3) // 3)
-                        writers[lid] = task
-                    if retain:
-                        write_sites[lid] = (task, sites[(j - 3) // 3])
-                    continue
-                # --------------------- Algorithm 9: read -------------- #
-                if rl:
-                    nr = len(rl)
-                    total_readers += nr
-                    if (w < 0 or w == task) and nr == 1 and rl[0] == task:
-                        # Structural fast path: sole-self reader,
-                        # reflexive retire-and-reappend.
-                        fast_read += 1
-                        saved += 1
-                        if retain:
-                            rs = read_sites.get(lid)
-                            if rs is None:
-                                read_sites[lid] = rs = {}
-                            rs[task] = sites[(j - 3) // 3]
-                        continue
-                    if fast_reader[lid] == task and fast_epoch[lid] == cur_epoch:
-                        # Epoch memo: pure replay of this task's last
-                        # clean check against an unmutated DTRG.
-                        fast_read += 1
-                        saved += nr + (0 if w < 0 or w == task else 1)
-                        if retain:
-                            rs = read_sites.get(lid)
-                            if rs is None:
-                                read_sites[lid] = rs = {}
-                            rs[task] = sites[(j - 3) // 3]
-                        continue
-                    update = False
-                    tif = covered[task]
-                    surviving = None
-                    for i2 in range(nr):
-                        x = rl[i2]
-                        if precede(x, task):
-                            update = True
-                            if surviving is None:
-                                surviving = rl[:i2]
-                            continue
-                        if tif or covered[x]:
-                            update = True
-                        if surviving is not None:
-                            surviving.append(x)
-                    if surviving is not None:
-                        readers[lid] = rl = surviving
-                elif w < 0 or w == task:
-                    # Structural fast path: first reader, no writer check
-                    # (deviation: always record the first reader).
-                    fast_read += 1
-                    if rl is None:
-                        readers[lid] = [task]
+                        read(task, lid)
+            else:
+                # Provenance-recorded trace: retain each stored access's
+                # site after its check, as ShadowMemory.attach_provenance
+                # does, so a race sees the sites of the earlier accesses.
+                for is_write, task, lid in islice(rows, n_run):
+                    row += 1
+                    if is_write:
+                        write(task, lid)
+                        write_sites[lid] = (task, sites[row])
                     else:
-                        rl.append(task)
-                    if retain:
-                        rs = read_sites.get(lid)
-                        if rs is None:
-                            read_sites[lid] = rs = {}
-                        rs[task] = sites[(j - 3) // 3]
-                    continue
-                else:
-                    if fast_reader[lid] == task and fast_epoch[lid] == cur_epoch:
-                        fast_read += 1
-                        saved += 1  # the skipped writer check
-                        if retain:
-                            rs = read_sites.get(lid)
-                            if rs is None:
-                                read_sites[lid] = rs = {}
-                            rs[task] = sites[(j - 3) // 3]
-                        continue
-                    update = True  # deviation: record the first reader
-                raced = False
-                if w >= 0 and w != task and not precede(w, task):
-                    _report("write-read", w, task, lid, (j - 3) // 3)
-                    raced = True
-                if update and (rl is None or task not in rl):
-                    if rl is None:
-                        readers[lid] = [task]
-                    else:
-                        rl.append(task)
-                if raced:
-                    fast_reader[lid] = -1
-                else:
-                    fast_reader[lid] = task
-                    fast_epoch[lid] = cur_epoch
-                if retain:
-                    rs = read_sites.get(lid)
-                    if rs is None:
-                        read_sites[lid] = rs = {}
-                    rs[task] = sites[(j - 3) // 3]
+                        read(task, lid)
+                        read_sites.setdefault(lid, {})[task] = sites[row]
             access_seconds += perf_counter() - t_blk
         else:
             for t in structure[si:si + n_run]:
@@ -407,11 +467,8 @@ def check_trace_fast(
                 if op == OP_GET:
                     record_join_idx(t[1], t[2])
                 elif op == OP_TASK_CREATE:
-                    parent = t[1]
-                    child = len(dtrg.uf)
-                    covered.append(1 if t[2] else covered[parent])
-                    add_task_idx(parent, bool(t[2]),
-                                 task_keys[child], names_list[child])
+                    child = add_task_idx(t[1], bool(t[2]),
+                                         task_keys[len(dtrg.uf)])
                     if t[3] >= 0:
                         scopes[t[3]][1].append(child)
                 elif op == OP_TASK_END:
@@ -423,7 +480,6 @@ def check_trace_fast(
                     for tid in joins:
                         merge_idx(owner, tid)
             si += n_run
-            cur_epoch = dtrg.mutation_epoch
             structure_seconds += perf_counter() - t_blk
 
     # Implicit closing bracket: root finish end, then main terminates
@@ -440,16 +496,16 @@ def check_trace_fast(
     report.num_access_events = enc.num_access_events
     report.num_structure_events = enc.num_structure_events
     report.num_events = len(enc)
-    report.num_locations = n_locs
+    report.num_locations = enc.num_locations
     report.num_visits = dtrg.num_visits
     report.num_non_tree_edges = dtrg.num_non_tree_edges
     report.num_tree_merges = dtrg.num_tree_merges
     report.mutation_epoch = dtrg.mutation_epoch
     report.num_precede_queries = dtrg.num_precede_queries
-    report.shadow_fast_hits = fast_read + fast_write
-    report.precede_calls_saved = saved
-    report.num_accesses = enc.num_access_events
-    report.total_readers_seen = total_readers
+    report.shadow_fast_hits = kernel.num_fast_path_hits
+    report.precede_calls_saved = kernel.num_precede_calls_saved
+    report.num_accesses = kernel.num_accesses
+    report.avg_readers = kernel.avg_readers
     report.timings = {
         "encode_seconds": t_enc - t0,
         "structure_seconds": structure_seconds,

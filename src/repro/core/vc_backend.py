@@ -6,10 +6,10 @@ parity row.  This module promotes the clock algebra to a full
 :class:`repro.core.backend.PrecedeBackend`, so the paper's detector
 (Algorithms 8–9 shadow memory, Lemma 4 reader policy, race reporting,
 provenance-free) can run unchanged on top of vector clocks and be raced
-head-to-head against the DTRG engines — cf. Kumar, Agrawal, Gilbert &
-Utterback ("Optimal Parallel Race Detection for Fork-Join Programs with
-Futures", arXiv:2112.04352), who show clock-style schemes remain
-competitive when every join edge is applied eagerly.
+head-to-head against the DTRG engines — cf. Kumar, Agrawal & Biswas
+("Efficient Data Race Detection of Async-Finish Programs Using Vector
+Clocks", arXiv:2112.04352), who apply vector clocks to async-finish
+programs; the future ``get`` joins here are this module's extension.
 
 Clock algebra
 -------------

@@ -96,7 +96,8 @@ def _snapshot(det: DeterminacyRaceDetector, tids: Dict[str, int]) -> DtrgSnapsho
 
 def run_figure3(extra_observers: Sequence = ()) -> Figure3Result:
     """Execute the reconstructed Figure 3 program, snapshotting the DTRG."""
-    det = DeterminacyRaceDetector()
+    # The snapshots read the object graph's sets, labels and LSA chain.
+    det = DeterminacyRaceDetector(engine="object")
     rt = Runtime(observers=[det, *extra_observers])
     tids: Dict[str, int] = {}
     snapshots: Dict[str, DtrgSnapshot] = {}

@@ -29,7 +29,10 @@ which is checked in up to two modes:
   with each other by transitivity; and each completed run must round-trip
   through
   :class:`~repro.memory.tracer.TraceRecorder`/:func:`replay_trace` with an
-  identical verdict (record-replay parity).  The ``dtrg[fast]`` row checks
+  identical verdict (record-replay parity).  The ``dtrg`` row runs the
+  reference object engine; ``dtrg[array]`` runs the default integer
+  access kernel online and must also reproduce the ``dtrg`` row's race
+  list and ``summary()`` text.  The ``dtrg[fast]`` row checks
   the recorded trace with :func:`~repro.core.fastcheck.check_trace_fast`
   (``racecheck --fast``): its racy set must equal the oracle's, and its
   race list and ``summary()`` text the dtrg replay detector's.
@@ -115,14 +118,19 @@ RESTRICTED = ("spd3", "espbags", "spbags", "offset-span")
 #: and by the corpus replay gate so an optimization bug that changes a
 #: verdict cannot hide behind the default configuration.
 ABLATIONS = {
-    "dtrg[no-lsa]": dict(use_lsa=False),
-    "dtrg[no-memo]": dict(memoize_visit=False),
-    "dtrg[no-intervals]": dict(use_intervals=False),
-    # Not an optimization *off* but an alternate engine: the flat-array
-    # live DTRG (core/array_dtrg.py) must agree with the oracle and, by
-    # transitivity, bit-match the object-graph default.
+    "dtrg[no-lsa]": dict(engine="object", use_lsa=False),
+    "dtrg[no-memo]": dict(engine="object", memoize_visit=False),
+    "dtrg[no-intervals]": dict(engine="object", use_intervals=False),
+    # Not an optimization *off* but the detector's default engine: the
+    # integer access kernel (core/fastcheck.py) driven online must agree
+    # with the oracle, and its race list and summary text must equal the
+    # dtrg row's on the same program.
     "dtrg[array]": dict(engine="array"),
 }
+KERNEL_NAME = "dtrg[array]"
+#: The ``dtrg`` row is the paper's reference engine, the oracle side of
+#: every dtrg comparison below.
+REFERENCE = dict(engine="object")
 #: Alternative PRECEDE backends behind ``DeterminacyRaceDetector(engine=…)``
 #: (docs/ALGORITHM.md §14).  ``vc`` is general — future-aware vector clocks
 #: must report exactly the oracle's racy set on every scoped program (and
@@ -164,13 +172,14 @@ RUNTIME_ROWS = tuple(
 
 def _make_detector(name: str, obs=None):
     """Instantiate a detector by registry, ablation or backend name."""
-    options = ABLATIONS.get(name) or BACKENDS.get(name)
+    if name == "dtrg":
+        options = REFERENCE
+    else:
+        options = ABLATIONS.get(name) or BACKENDS.get(name)
     if options is not None:
         from repro.core.detector import DeterminacyRaceDetector
 
         return DeterminacyRaceDetector(obs=obs, **options)
-    if name == "dtrg" and obs is not None:
-        return DETECTORS[name](obs=obs)
     return DETECTORS[name]()
 
 
@@ -285,7 +294,7 @@ def _triage_witnesses(program: Program):
     from repro.obs import RaceProvenance
 
     provenance = RaceProvenance()
-    det = DeterminacyRaceDetector(provenance=provenance)
+    det = DeterminacyRaceDetector(provenance=provenance, **REFERENCE)
     try:
         run_program(program, [det], scoped_handles=True,
                     provenance=provenance)
@@ -338,7 +347,7 @@ def _replay_predicate(name: str, scoped: bool) -> Callable[[Program], bool]:
     def holds(candidate: Program) -> bool:
         try:
             live, trace = _run_live(name, candidate, scoped=scoped, record=True)
-            replayed = DETECTORS[name]()
+            replayed = _make_detector(name)
             replay_trace(trace, [replayed])
         except UnsupportedConstructError:
             return False
@@ -361,13 +370,26 @@ def _check_fast(trace, want: Set) -> Tuple[Set, Optional[str]]:
     if got != want:
         return got, (f"{FAST_NAME} {sorted(got, key=repr)} vs oracle "
                      f"{sorted(want, key=repr)}")
-    replayed = DETECTORS["dtrg"]()
+    replayed = _make_detector("dtrg")
     replay_trace(trace, [replayed])
     if list(result.races) != list(replayed.races):
         return got, f"{FAST_NAME} race list differs from the dtrg replay"
     if result.summary() != replayed.report.summary():
         return got, f"{FAST_NAME} summary differs from the dtrg replay"
     return got, None
+
+
+def _kernel_parity_predicate() -> Callable[[Program], bool]:
+    """Reproduction check for a :data:`KERNEL_NAME` race-list divergence
+    from the ``dtrg`` row."""
+
+    def holds(candidate: Program) -> bool:
+        kernel, _ = _run_live(KERNEL_NAME, candidate, scoped=True)
+        reference, _ = _run_live("dtrg", candidate, scoped=True)
+        return (list(kernel.races) != list(reference.races)
+                or kernel.report.summary() != reference.report.summary())
+
+    return holds
 
 
 def _fast_predicate() -> Callable[[Program], bool]:
@@ -464,6 +486,7 @@ def check_seed(
                  f"live {sorted(want, key=repr)} vs replay "
                  f"{sorted(_verdict(replayed_oracle), key=repr)}")
 
+        reference = None  # the live dtrg row, for the kernel parity check
         for name in GENERAL + RESTRICTED + tuple(ABLATIONS) + tuple(BACKENDS):
             try:
                 det, _ = _run_live(
@@ -492,6 +515,17 @@ def check_seed(
                      f"scoped:divergence:{name}:{direction}",
                      f"{name} {sorted(got, key=repr)} vs oracle "
                      f"{sorted(want, key=repr)}")
+            if name == "dtrg":
+                reference = det
+            elif name == KERNEL_NAME and reference is not None and (
+                list(det.races) != list(reference.races)
+                or det.report.summary() != reference.report.summary()
+            ):
+                stats.tally(name, "divergences")
+                fail("scoped", "divergence", name,
+                     f"scoped:divergence:{name}:parity",
+                     f"{name} race list or summary differs from the dtrg "
+                     "row's")
             # Record-replay parity for this detector.
             replayed = _make_detector(name)
             try:
@@ -648,6 +682,8 @@ def _shrink_failure(failure: FuzzFailure, budget: int) -> None:
         if failure.kind != "divergence":
             return  # fast-checker crash repros are kept unminimized
         predicate = _fast_predicate()
+    elif failure.signature.endswith(":parity"):
+        predicate = _kernel_parity_predicate()
     elif failure.kind == "divergence":
         predicate = _divergence_predicate(failure.detector, scoped)
     elif failure.kind == "replay-divergence":

@@ -72,14 +72,17 @@ def run_instrumented(
     :class:`DeterminacyRaceDetector` (ablation switches, ``cache_precede``).
     ``obs`` is an optional :class:`repro.obs.Observability` sink threaded
     into both the runtime (task/finish spans) and the detector (PRECEDE /
-    shadow instrumentation); ``None`` costs nothing.
+    shadow instrumentation); ``None`` costs nothing.  With ``obs`` or any
+    ``detector_options`` the detector defaults to ``engine="object"``,
+    the only engine with those hooks; otherwise it is the default kernel.
     """
     metrics = MetricsCollector()
-    detector = (
-        DeterminacyRaceDetector(obs=obs, **(detector_options or {}))
-        if detect
-        else None
-    )
+    detector = None
+    if detect:
+        options = dict(detector_options or {})
+        if obs is not None or options:
+            options.setdefault("engine", "object")
+        detector = DeterminacyRaceDetector(obs=obs, **options)
     observers: List = [metrics]
     if detector is not None:
         observers.append(detector)

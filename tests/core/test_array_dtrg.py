@@ -5,6 +5,7 @@ import pytest
 from repro.core.array_dtrg import ArrayDTRG
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.reachability import DynamicTaskReachabilityGraph
+from repro.obs import Observability
 
 
 def _mirror():
@@ -139,7 +140,8 @@ def test_finished_graph_matches_object_graph():
     _drive(pair, "merge", 0, 2)
     _drive(pair, "on_terminate", 0)
     assert arr.keys == [0, 1, 2]
-    assert list(arr.is_future) == [obj.node(k).is_future for k in arr.keys]
+    # No future here has spawn children, so future-covered == is_future.
+    assert list(arr.covered) == [obj.node(k).is_future for k in arr.keys]
     _assert_all_pairs(obj, arr, arr.keys)
 
 
@@ -152,6 +154,10 @@ def test_detector_engine_gating():
         DeterminacyRaceDetector(engine="array", memoize_visit=False)
     with pytest.raises(ValueError):
         DeterminacyRaceDetector(engine="array", use_intervals=False)
+    with pytest.raises(ValueError):
+        DeterminacyRaceDetector(cache_precede=False)
+    with pytest.raises(ValueError, match="engine='object'"):
+        DeterminacyRaceDetector(obs=Observability())
     det = DeterminacyRaceDetector(engine="array")
     assert det.perf_stats["cache_hits"] == 0
     assert det.perf_stats["cache_misses"] == 0

@@ -165,7 +165,8 @@ def test_many_parallel_futures_each_own_location():
 
 def test_ablation_flags_reach_dtrg():
     det = DeterminacyRaceDetector(
-        use_lsa=False, memoize_visit=False, use_intervals=False
+        engine="object", use_lsa=False, memoize_visit=False,
+        use_intervals=False,
     )
     assert det.dtrg.use_lsa is False
     assert det.dtrg.memoize_visit is False

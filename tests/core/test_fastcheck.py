@@ -59,7 +59,7 @@ def _finish_scoped():
 
 
 def _against_replay(trace):
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")
     replay_trace(trace, [det])
     fast = check_trace_fast(trace)
     assert fast.summary() == det.report.summary()
@@ -87,7 +87,7 @@ def test_site_attribution_matches_replay():
     trace = _async_write_race(sites=True)
     fast = check_trace_fast(trace)
     prov = RaceProvenance()
-    det = DeterminacyRaceDetector(provenance=prov)
+    det = DeterminacyRaceDetector(provenance=prov, engine="object")
     replay_trace(trace, [det], provenance=prov)
     assert fast.summary() == det.report.summary()
     assert [(r.pair_key, r.prev_site, r.current_site) for r in fast.races] \

@@ -147,7 +147,7 @@ def test_future_chain_final_state_precede_is_all_true():
     race between ``f1``'s write and main's unordered write that the
     online check reports.  This is why every checker queries the DTRG
     as it stood at each access (ALGORITHM.md §12)."""
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")
     rt = Runtime(observers=[det])
     mem = SharedArray(rt, "x", 1)
 

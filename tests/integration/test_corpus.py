@@ -22,9 +22,13 @@ GENERAL_DETECTORS = [
 
 @pytest.mark.parametrize("program", CORPUS, ids=lambda p: p.name)
 def test_declared_verdicts(program):
+    """Both engines: the default kernel and the object reference."""
     det = DeterminacyRaceDetector()
-    run_corpus_program(program, [det])
+    obj = DeterminacyRaceDetector(engine="object")
+    run_corpus_program(program, [det, obj])
     assert det.racy_locations == program.racy, program.description
+    assert obj.racy_locations == program.racy, program.description
+    assert list(det.races) == list(obj.races)
 
 
 @pytest.mark.parametrize("program", CORPUS, ids=lambda p: p.name)
@@ -54,9 +58,14 @@ def test_restricted_detectors_agree_or_reject(program):
     "program", [p for p in CORPUS if p.racy], ids=lambda p: p.name
 )
 def test_raise_policy_fires_on_racy_programs(program):
-    det = DeterminacyRaceDetector(policy=ReportPolicy.RAISE)
-    with pytest.raises(RaceError):
-        run_corpus_program(program, [det])
+    first = {}
+    for engine in ("array", "object"):
+        det = DeterminacyRaceDetector(policy=ReportPolicy.RAISE,
+                                      engine=engine)
+        with pytest.raises(RaceError) as exc:
+            run_corpus_program(program, [det])
+        first[engine] = exc.value.race
+    assert first["array"] == first["object"]
 
 
 @pytest.mark.parametrize(

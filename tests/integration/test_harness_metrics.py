@@ -166,7 +166,7 @@ def test_detector_perf_tolerates_missing_stats_keys():
 def test_detector_perf_from_no_cache_ablation():
     """cache_precede=False leaves cache counters at zero but the row must
     still build and render."""
-    det = DeterminacyRaceDetector(cache_precede=False)
+    det = DeterminacyRaceDetector(engine="object", cache_precede=False)
     rt = Runtime(observers=[det])
     mem = SharedArray(rt, "x", 2)
 
@@ -194,3 +194,51 @@ def test_render_metrics_blocks():
     assert "precede_latency_ns" in text
     assert "cache_hit_by_epoch_window" in text
     assert render_metrics({}) == "(no metrics)"
+
+
+def test_default_detector_counter_surface():
+    """The default (kernel) detector carries every counter the harness,
+    the live telemetry source and the repo benchmark read, with a null
+    PRECEDE cache whose counters read 0, and they match the object
+    engine's wherever the engines share a counter."""
+    from repro.obs.live import detector_source
+    from repro.workloads import jacobi
+    from repro.workloads.common import run_instrumented
+
+    params = jacobi.default_params("tiny")
+    run = run_instrumented(lambda rt: jacobi.run_future(rt, params),
+                           detect=True)
+    ref = run_instrumented(lambda rt: jacobi.run_future(rt, params),
+                           detect=True, detector_options={"engine": "object"})
+    det, obj = run.detector, ref.detector
+    assert det.engine == "array" and obj.engine == "object"
+
+    dtrg, shadow = det.dtrg, det.shadow
+    assert dtrg.num_precede_queries == obj.dtrg.num_precede_queries > 0
+    assert dtrg.num_visits >= 0
+    cache = dtrg.cache
+    assert (cache.hits, cache.misses, cache.invalidations,
+            cache.hit_rate) == (0, 0, 0, 0.0)
+    assert shadow.num_fast_path_hits == obj.shadow.num_fast_path_hits > 0
+    assert (shadow.num_precede_calls_saved
+            == obj.shadow.num_precede_calls_saved)
+    assert shadow.num_accesses == run.metrics.num_shared_accesses
+    assert shadow.num_locations == obj.shadow.num_locations > 0
+    assert shadow.avg_readers == obj.shadow.avg_readers
+    assert run.avg_readers == ref.avg_readers
+    assert det.report.summary() == obj.report.summary()
+
+    perf = DetectorPerf.from_detector(det)
+    assert perf.precede_queries == dtrg.num_precede_queries
+    assert (perf.cache_hits, perf.cache_misses, perf.cache_hit_rate) \
+        == (0, 0, 0.0)
+    assert perf.shadow_fast_hits == shadow.num_fast_path_hits
+
+    gauges = detector_source(det)()
+    assert gauges["shadow_cells"] == shadow.num_locations
+    assert gauges["detector_accesses"] == shadow.num_accesses
+    assert gauges["precede_queries"] == dtrg.num_precede_queries
+    assert gauges["dtrg_tasks"] == run.metrics.num_tasks + 1  # + main
+    assert gauges["precede_cache_hits"] == 0
+    assert gauges["precede_cache_misses"] == 0
+    assert gauges["precede_cache_hit_rate"] == 0.0

@@ -26,6 +26,11 @@ from repro.workloads import jacobi, smith_waterman
 from repro.workloads.common import run_instrumented
 
 
+#: The hooks live on the reference object engine; untraced runs use it too
+#: so each comparison is one engine against itself.
+OBJECT = {"engine": "object"}
+
+
 def structural_columns(run):
     m = run.metrics
     d = run.detector
@@ -50,7 +55,8 @@ def test_table2_columns_bit_identical_with_tracing_on():
         (smith_waterman, smith_waterman.run_future),
     ):
         params = module.default_params("tiny")
-        plain = run_instrumented(lambda rt: entry(rt, params), detect=True)
+        plain = run_instrumented(lambda rt: entry(rt, params), detect=True,
+                                 detector_options=OBJECT)
         obs = Observability(tracer=RingTracer())
         traced = run_instrumented(
             lambda rt: entry(rt, params), detect=True, obs=obs
@@ -65,7 +71,8 @@ def test_table2_columns_bit_identical_with_tracing_on():
 def test_null_observability_equals_no_observability():
     params = jacobi.default_params("tiny")
     plain = run_instrumented(
-        lambda rt: jacobi.run_future(rt, params), detect=True
+        lambda rt: jacobi.run_future(rt, params), detect=True,
+        detector_options=OBJECT,
     )
     null = run_instrumented(
         lambda rt: jacobi.run_future(rt, params), detect=True,
@@ -75,7 +82,7 @@ def test_null_observability_equals_no_observability():
 
 
 def racy_run(obs=None):
-    det = DeterminacyRaceDetector(obs=obs)
+    det = DeterminacyRaceDetector(obs=obs, engine="object")
     rt = Runtime(observers=[det], obs=obs)
     mem = SharedArray(rt, "d", 2)
 

@@ -23,7 +23,8 @@ class TestNullObjectProtocol:
         assert "add_task" not in vars(g)
 
     def test_detector_normalizes_disabled_obs_to_none(self):
-        det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY)
+        det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY,
+                                      engine="object")
         assert det.obs is None
         assert "precede" not in vars(det.dtrg)
 

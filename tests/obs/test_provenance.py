@@ -59,7 +59,7 @@ class TestSiteTable:
 def run_racy(provenance=None, extra_observers=()):
     """One future-read race, accesses performed directly in this file so
     the captured sites point here (past the runtime/shared skip list)."""
-    det = DeterminacyRaceDetector(provenance=provenance)
+    det = DeterminacyRaceDetector(provenance=provenance, engine="object")
     rt = Runtime(observers=[det, *extra_observers], provenance=provenance)
 
     def program(rt):
@@ -157,7 +157,7 @@ class TestReplayProvenance:
         run_racy(recording_prov, extra_observers=[recorder])
 
         replay_prov = RaceProvenance()
-        det = DeterminacyRaceDetector(provenance=replay_prov)
+        det = DeterminacyRaceDetector(provenance=replay_prov, engine="object")
         replay_trace(recorder.trace, [det], provenance=replay_prov)
         (race,) = list(det.report)
         assert race.prev_site and "test_provenance.py" in race.prev_site
@@ -182,7 +182,7 @@ class TestReplayProvenance:
         assert loaded.access_sites is not None
 
         replay_prov = RaceProvenance()
-        det = DeterminacyRaceDetector(provenance=replay_prov)
+        det = DeterminacyRaceDetector(provenance=replay_prov, engine="object")
         replay_trace(loaded, [det], provenance=replay_prov)
 
         def attribution(d):

@@ -79,7 +79,7 @@ def test_valid_witness_report_exits_zero(tmp_path, capsys):
     from repro.runtime.runtime import Runtime
 
     prov = RaceProvenance()
-    det = DeterminacyRaceDetector(provenance=prov)
+    det = DeterminacyRaceDetector(provenance=prov, engine="object")
     rt = Runtime(observers=[det], provenance=prov)
 
     def program(rt):

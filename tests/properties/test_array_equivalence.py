@@ -1,22 +1,26 @@
-"""Flat-array engine ≡ object-graph engine, under fuzzing.
+"""Integer access kernel ≡ object-graph engine, under fuzzing.
 
-Three properties over 200 generated programs (ALGORITHM.md §13):
+Properties over 200 generated programs (ALGORITHM.md §13):
 
-1. **Replay equivalence** — the detector's ``engine="array"`` reproduces
-   the object-graph replay's ``summary()``, race order, racy locations
-   and invariant ``DetectorPerf`` counters.
-2. **Fast-path equivalence** — ``check_trace_fast`` over the recorded
-   ``Trace`` columns reproduces the sequential replay byte-for-byte:
-   same ``summary()``, same race list in the same order, same racy
-   locations, same invariant ``DetectorPerf`` counters, same
-   ``#AvgReaders``.
+1. **Three-path equivalence** — one program run with the default
+   detector (the kernel driven online, ``engine="array"``), the same
+   recorded trace checked by ``check_trace_fast`` (the kernel replaying
+   the columns) and replayed into ``engine="object"`` (the paper
+   reference) agree byte for byte: race list, ``summary()``,
+   ``#AvgReaders`` and the invariant ``DetectorPerf`` counters.  The
+   online summary is compared with an object detector attached to the
+   same run, because live task names differ from the replay convention.
+2. **Replay equivalence** — ``replay_trace`` into ``engine="array"``
+   reproduces the object-graph replay the same way.
 3. **Query equivalence** — ``ArrayDTRG.precede()`` is bit-equivalent to
    the object DTRG on *every* task pair of the finished graph.
+4. **First race under ``--policy raise``** — the kernel raises
+   :class:`~repro.runtime.errors.RaceError` on the same race as the
+   object engine.
 
-The internal verdict memo in ``ArrayDTRG`` and the inlined shadow loops
-in ``fastcheck`` are exactly the machinery these sweeps exist to keep
-honest: any verdict or counter drift shows up as a seed-numbered
-counterexample.
+The internal verdict memo in ``ArrayDTRG`` and the kernel's fast paths
+are exactly the machinery these sweeps exist to keep honest: any verdict
+or counter drift shows up as a seed-numbered counterexample.
 """
 
 import random
@@ -24,9 +28,10 @@ import random
 import pytest
 
 from repro.core.detector import DeterminacyRaceDetector
-from repro.core.events import encode_trace
 from repro.core.fastcheck import check_trace_fast
+from repro.core.races import ReportPolicy
 from repro.memory.tracer import TraceRecorder, replay_trace
+from repro.runtime.errors import RaceError
 from repro.testing.generator import random_program, run_program
 
 NUM_SEEDS = 200
@@ -43,52 +48,64 @@ def _replay(trace, **options):
     return det
 
 
+def _assert_same(seed, what, got, got_avg, golden, golden_perf, golden_avg):
+    assert [r.pair_key for r in got.races] == [
+        r.pair_key for r in golden.races
+    ], f"seed {seed}: {what} race order diverges"
+    assert got.racy_locations == golden.racy_locations
+    perf = got.perf_stats
+    for key in INVARIANT_PERF:
+        assert perf[key] == golden_perf[key], (
+            f"seed {seed}: {what} counter {key} diverges "
+            f"({perf[key]} vs {golden_perf[key]})"
+        )
+    assert got_avg == golden_avg, (
+        f"seed {seed}: {what} #AvgReaders diverges"
+    )
+
+
 @pytest.mark.parametrize("band", range(0, NUM_SEEDS, BAND))
 def test_array_engine_equivalence_fuzz(band):
     racy_seeds = 0
     for seed in range(band, band + BAND):
+        online = DeterminacyRaceDetector()
+        live_object = DeterminacyRaceDetector(engine="object")
         rec = TraceRecorder()
-        run_program(random_program(random.Random(seed)), [rec])
+        run_program(random_program(random.Random(seed)),
+                    [online, live_object, rec])
         trace = rec.trace
 
-        golden = _replay(trace)
+        golden = _replay(trace, engine="object")
         # Capture before the all-pairs sweeps below: every live-graph
         # precede() bumps the query counters.
         golden_summary = golden.report.summary()
-        golden_order = [r.pair_key for r in golden.races]
         golden_perf = golden.perf_stats
-        racy_seeds += bool(golden_order)
+        golden_avg = golden.shadow.avg_readers
+        racy_seeds += bool(golden.races)
 
-        arr = _replay(trace, engine="array")
-        assert arr.report.summary() == golden_summary, (
-            f"seed {seed}: array-engine summary diverges"
+        assert online.engine == "array"
+        assert online.report.summary() == live_object.report.summary(), (
+            f"seed {seed}: online kernel summary diverges"
         )
-        assert [r.pair_key for r in arr.races] == golden_order, (
-            f"seed {seed}: array-engine race order diverges"
-        )
-        assert arr.racy_locations == golden.racy_locations
-        arr_perf = arr.perf_stats
-        for key in INVARIANT_PERF:
-            assert arr_perf[key] == golden_perf[key], (
-                f"seed {seed}: array-engine counter {key} diverges "
-                f"({arr_perf[key]} vs {golden_perf[key]})"
-            )
+        assert list(online.races) == list(live_object.races)
+        _assert_same(seed, "online kernel", online,
+                     online.shadow.avg_readers, golden, golden_perf,
+                     golden_avg)
 
-        fast = check_trace_fast(encode_trace(trace))
+        fast = check_trace_fast(trace)
         assert fast.summary() == golden_summary, (
             f"seed {seed}: fastcheck summary diverges"
         )
-        assert [r.pair_key for r in fast.races] == golden_order, (
-            f"seed {seed}: fastcheck race order diverges"
+        assert list(fast.races) == list(golden.races)
+        _assert_same(seed, "fastcheck", fast, fast.avg_readers, golden,
+                     golden_perf, golden_avg)
+
+        arr = _replay(trace, engine="array")
+        assert arr.report.summary() == golden_summary, (
+            f"seed {seed}: array-engine replay summary diverges"
         )
-        assert fast.racy_locations == golden.racy_locations
-        fast_perf = fast.perf_stats
-        for key in INVARIANT_PERF:
-            assert fast_perf[key] == golden_perf[key], (
-                f"seed {seed}: fastcheck counter {key} diverges "
-                f"({fast_perf[key]} vs {golden_perf[key]})"
-            )
-        assert abs(fast.avg_readers - golden.shadow.avg_readers) < 1e-12
+        _assert_same(seed, "array replay", arr, arr.shadow.avg_readers,
+                     golden, golden_perf, golden_avg)
 
         # All-pairs: live array graph vs live object graph.
         keys = arr.dtrg.keys
@@ -103,3 +120,23 @@ def test_array_engine_equivalence_fuzz(band):
     # A sweep where nothing races would vacuously pass the report
     # comparisons; every band is expected to surface racy programs.
     assert racy_seeds > 0
+
+
+def _first_race(program, engine):
+    det = DeterminacyRaceDetector(ReportPolicy.RAISE, engine=engine)
+    try:
+        run_program(program, [det])
+    except RaceError as exc:
+        return exc.race
+    return None
+
+
+def test_raise_policy_stops_at_the_same_first_race():
+    raised = 0
+    for seed in range(NUM_SEEDS):
+        program = random_program(random.Random(seed))
+        want = _first_race(program, "object")
+        got = _first_race(program, "array")
+        assert got == want, f"seed {seed}: first race {got} vs {want}"
+        raised += want is not None
+    assert raised > 0

@@ -24,7 +24,7 @@ class LoggingDetector(DeterminacyRaceDetector):
     for every shadow-memory PRECEDE call."""
 
     def __init__(self, graph_builder: GraphBuilder):
-        super().__init__()
+        super().__init__(engine="object")
         self._gb = graph_builder
         self.queries = []
         inner = self.dtrg.precede

@@ -112,7 +112,7 @@ def test_union_find_matches_naive_partition(n, ops):
 def test_dtrg_invariants_after_execution(program):
     from repro import DeterminacyRaceDetector
 
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")  # reads TaskNodes
     gb = GraphBuilder()
     run_program(program, [gb, det])
     graph = gb.graph

@@ -25,7 +25,15 @@ def corpus_disagrees_with(detector_factory) -> bool:
     return False
 
 
-class _NoNonTreeEdges(DeterminacyRaceDetector):
+class _ObjectDetector(DeterminacyRaceDetector):
+    """The reference object engine: the bugs below are planted in its
+    graph and shadow-memory internals."""
+
+    def __init__(self, **kw):
+        super().__init__(engine="object", **kw)
+
+
+class _NoNonTreeEdges(_ObjectDetector):
     """Bug: forget to record non-tree joins (Algorithm 4 else-branch)."""
 
     def on_get(self, consumer, producer) -> None:
@@ -36,21 +44,21 @@ class _NoNonTreeEdges(DeterminacyRaceDetector):
         # else: silently dropped
 
 
-class _NoFinishMerges(DeterminacyRaceDetector):
+class _NoFinishMerges(_ObjectDetector):
     """Bug: forget Algorithm 6 (end-finish merges)."""
 
     def on_finish_end(self, scope) -> None:
         pass
 
 
-class _NoReaderSet(DeterminacyRaceDetector):
+class _NoReaderSet(_ObjectDetector):
     """Bug: never store readers (write-after-read races vanish)."""
 
     def on_read(self, task, loc) -> None:
         pass
 
 
-class _AlwaysOrdered(DeterminacyRaceDetector):
+class _AlwaysOrdered(_ObjectDetector):
     """Bug: precede() returns True unconditionally."""
 
     def __init__(self, **kw):
@@ -58,7 +66,7 @@ class _AlwaysOrdered(DeterminacyRaceDetector):
         self.shadow._precede = lambda a, b: True
 
 
-class _NeverOrderedAcrossTasks(DeterminacyRaceDetector):
+class _NeverOrderedAcrossTasks(_ObjectDetector):
     """Bug: precede() is just identity (pure per-task program order)."""
 
     def __init__(self, **kw):
@@ -88,3 +96,4 @@ def test_never_ordered_caught():
 
 def test_unbroken_detector_passes_the_same_gauntlet():
     assert not corpus_disagrees_with(DeterminacyRaceDetector)
+    assert not corpus_disagrees_with(_ObjectDetector)

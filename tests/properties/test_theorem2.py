@@ -38,10 +38,13 @@ COMMON = dict(
 @given(program=program_strategy())
 @settings(max_examples=200, **COMMON)
 def test_detector_matches_oracle_per_location(program):
+    """Both engines: the default kernel and the object reference."""
     det = DeterminacyRaceDetector()
+    obj = DeterminacyRaceDetector(engine="object")
     oracle = BruteForceDetector()
-    run_program(program, [det, oracle])
+    run_program(program, [det, obj, oracle])
     assert det.racy_locations == oracle.racy_locations, str(program)
+    assert obj.racy_locations == oracle.racy_locations, str(program)
 
 
 @given(program=program_strategy(num_locs=2, max_leaves=25))
@@ -49,12 +52,13 @@ def test_detector_matches_oracle_per_location(program):
 @pytest.mark.parametrize(
     "options",
     [
-        {"use_lsa": False},
-        {"memoize_visit": False},
-        {"use_intervals": False},
-        {"cache_precede": False},
-        {"cache_precede": True},
-        {"cache_precede": True, "use_lsa": False, "memoize_visit": False},
+        {"engine": "object", "use_lsa": False},
+        {"engine": "object", "memoize_visit": False},
+        {"engine": "object", "use_intervals": False},
+        {"engine": "object", "cache_precede": False},
+        {"engine": "object", "cache_precede": True},
+        {"engine": "object", "cache_precede": True, "use_lsa": False,
+         "memoize_visit": False},
     ],
 )
 def test_ablations_preserve_verdicts(options, program):
@@ -82,10 +86,12 @@ def test_wild_handle_flow_never_crashes(program, seed):
     graph, and the detector never misses a program-wide verdict in the
     completeness direction for *tree-only* wild runs (weak sanity)."""
     det = DeterminacyRaceDetector()
+    obj = DeterminacyRaceDetector(engine="object")
     oracle = BruteForceDetector()
-    run_program(program, [det, oracle], scoped_handles=False)
-    # both produced verdicts without exceptions; nothing else is promised
-    assert isinstance(det.racy_locations, set)
+    run_program(program, [det, obj, oracle], scoped_handles=False)
+    # all produced verdicts without exceptions; nothing else is promised
+    # beyond the two engines agreeing with each other
+    assert det.racy_locations == obj.racy_locations, str(program)
     assert isinstance(oracle.racy_locations, frozenset | set)
 
 
@@ -95,9 +101,11 @@ def test_bulk_random_differential_sweep():
     for seed in range(1500):
         program = random_program(random.Random(seed))
         det = DeterminacyRaceDetector()
+        obj = DeterminacyRaceDetector(engine="object")
         oracle = BruteForceDetector()
-        run_program(program, [det, oracle])
-        if det.racy_locations != oracle.racy_locations:
+        run_program(program, [det, obj, oracle])
+        if not (det.racy_locations == obj.racy_locations
+                == oracle.racy_locations):
             mismatches.append(seed)
     assert not mismatches, mismatches[:5]
 

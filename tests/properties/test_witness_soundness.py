@@ -38,13 +38,20 @@ NUM_SEEDS = 200
 
 
 def detect_with_witnesses(program):
-    """Run once with provenance-enabled dtrg + graph builder + exact."""
+    """Run once with provenance-enabled dtrg + graph builder + exact.
+
+    Witnesses are object-engine certificates; the default kernel rides
+    along and must report the very races they explain."""
     prov = RaceProvenance()
-    det = DeterminacyRaceDetector(provenance=prov)
+    det = DeterminacyRaceDetector(provenance=prov, engine="object")
+    kernel = DeterminacyRaceDetector()
     gb = GraphBuilder()
     exact = ExactDetector()
-    run_program(program, [det, gb, exact], scoped_handles=True,
+    run_program(program, [det, kernel, gb, exact], scoped_handles=True,
                 provenance=prov)
+    assert [r.pair_key for r in kernel.races] == [
+        r.pair_key for r in det.races
+    ]
     return det, gb, exact
 
 
