@@ -62,7 +62,7 @@ from typing import Dict, Hashable, List, Optional
 
 from repro.core.labels import MAXID
 
-__all__ = ["ArrayDTRG", "NO_CACHE"]
+__all__ = ["ArrayDTRG"]
 
 
 class _NoCache:
@@ -73,7 +73,7 @@ class _NoCache:
     hit_rate = 0.0
 
 
-NO_CACHE = _NoCache()
+_NO_CACHE = _NoCache()
 
 
 class ArrayDTRG:
@@ -122,7 +122,7 @@ class ArrayDTRG:
         #: The array engine runs cache-less (see module docstring); the
         #: null cache keeps ``cache.hits`` & co. readable like the object
         #: graph's.
-        self.cache = NO_CACHE
+        self.cache = _NO_CACHE
         self._dfid = 0
         self._tmpid = MAXID
         self._stamp: List[int] = []
@@ -286,9 +286,6 @@ class ArrayDTRG:
             x = g
             p = uf[x]
         return x
-
-    def same_set_idx(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
 
     # ------------------------------------------------------------------ #
     # Algorithm 10 (default strategy: intervals + memoized VISIT + LSA), #

@@ -21,6 +21,11 @@ Algorithm 9 (read)       :meth:`on_read` → :meth:`ShadowMemory.read`
 Algorithm 10 (precede)   :meth:`precede` → DTRG
 ======================  ==========================================
 
+The table is the reference ``engine="object"``; the default
+``engine="array"`` runs Algorithms 8-9 in
+:class:`~repro.core.fastcheck.AccessKernel` on an
+:class:`~repro.core.array_dtrg.ArrayDTRG` instead.
+
 Theorem 2: run against a serial depth-first execution, the detector reports a
 race on a location iff some pair of logically-parallel conflicting accesses
 to that location exists in the computation graph — property-tested against

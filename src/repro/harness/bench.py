@@ -14,7 +14,7 @@ Every workload row holds the same fixed set of **legs**
 
 * ``seq``, ``instrumented``, ``online`` — the live Table 2
   configurations (serial elision, instrumented run without a detector,
-  and the online object-graph detector);
+  and the default online detector, the integer access kernel);
 * ``replay[dtrg]``, ``replay[array]``, ``replay[depa]``, ``replay[vc]``
   — one recorded trace replayed into ``DeterminacyRaceDetector(engine=…)``
   for every PRECEDE backend (docs/ALGORITHM.md §14);

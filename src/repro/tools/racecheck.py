@@ -47,8 +47,8 @@ columns of a :class:`~repro.core.events.Trace`, and the batched
 single-thread checker ``check_trace_fast`` (``docs/ALGORITHM.md``
 §13.2) then replays them through the access kernel the online
 ``--detector dtrg`` run uses — same race list, summary and exit code,
-at about 0.7M access-checks/s on Jacobi (81,920 accesses in 118 ms on
-a 2-vCPU box, CPython 3.11).  Post-hoc
+at roughly 0.7–1.1M access-checks/s on Jacobi (81,920 accesses checked
+in 74–118 ms on a shared 2-vCPU box, CPython 3.11).  Post-hoc
 checking cannot abort the program at the first race and has no live
 DTRG to certify witnesses from, so ``--fast`` rejects ``--policy raise``
 and the ``--explain`` family; ``--detector`` must be ``dtrg``.  A
@@ -465,7 +465,8 @@ def main(argv: List[str] | None = None) -> int:
                       f"encode={timings['encode_seconds'] * 1e3:.1f}ms "
                       f"structure={timings['structure_seconds'] * 1e3:.1f}ms "
                       f"access={timings['access_seconds'] * 1e3:.1f}ms "
-                      f"({result.events_per_second:,.0f} access-checks/s)")
+                      f"({result.access_events_per_second:,.0f} "
+                      "access-checks/s)")
 
         print(detector.report.summary())
 
