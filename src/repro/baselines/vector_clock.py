@@ -7,156 +7,56 @@ clocks have to be allocated with a size proportional to the maximum number
 of simultaneously live tasks (which can be unboundedly large) or precision
 has to be sacrificed by assigning one clock per processor."
 
-We implement the *precise* variant — one clock component per task — so the
-benchmarks can exhibit the quadratic blow-up the paper predicts:
-``benchmarks/bench_vector_clock_scaling.py`` sweeps task counts and shows
-per-spawn cost growing with the number of tasks while the DTRG detector's
-stays flat.
+This is the paper's strawman on the repository's one future-aware
+vector-clock algebra, :class:`~repro.core.parallel_detector.ParallelRaceDetector`
+— the *precise* variant, one clock component per task, with its access
+checks, shadow cells and verdicts unchanged.  The subclass only counts
+what the paper's argument is about, so the benchmarks can exhibit the
+quadratic blow-up it predicts: ``benchmarks/bench_vector_clock_scaling.py``
+sweeps task counts and shows per-spawn cost growing with the number of
+tasks while the DTRG detector's stays flat.
 
-Clock discipline (serial DFS drives it, but the happens-before relation
-tracked is the full computation-graph relation):
+* :attr:`~VectorClockDetector.total_clock_entries_copied` — clock entries
+  copied at spawns (the child's ``dict(parent)``) and merged at joins (the
+  frozen producer clock, on ``get`` and at end-finish alike);
+* :attr:`~VectorClockDetector.max_clock_size` — the widest clock
+  materialized.
 
-* spawn of ``C`` by ``P``: ``VC(C) = VC(P) ⊔ {C: 1}``, then ``P`` ticks;
-* task end: the final clock is frozen (a *copy* — the live dict would
-  otherwise alias state a later join could in principle mutate);
-* ``get``/finish join of ``B`` into ``A``: ``VC(A) ⊔= VC_final(B)``, tick.
-  The future ``get`` edge goes through exactly the same component-wise
-  max as the end-finish join — the join rule is what makes this baseline
-  *general* rather than async/finish-only, and it is pinned by the
-  regression corpus entry ``tests/corpus/vc_future_get_join.json`` and
-  audited against the brute-force oracle over thousands of future-heavy
-  fuzz seeds (the ``vector-clock`` parity row).  A join whose producer
-  has not ended is rejected with a pointed error: the runtime can never
-  emit one (``get`` waits), so it signals a malformed hand-built or
-  truncated trace, which used to surface as a bare ``KeyError``;
-* access check via epochs: an access by ``t`` is stamped ``(t, VC(t)[t])``;
-  a stamped access ``(u, c)`` happens-before current task ``t`` iff
-  ``VC(t)[u] >= c``.
-
-The same clock algebra, behind the detector's backend protocol instead
-of a private shadow memory, is :class:`repro.core.vc_backend.VectorClockBackend`
-(``DeterminacyRaceDetector(engine="vc")``).
-
-Shadow memory: last-write epoch plus a read *map* (task → epoch) per
-location; unlike the DTRG detector no bounded-reader lemma applies, so the
-read map can hold one epoch per task that ever read the location — another
-axis of the memory blow-up.
+The future ``get`` edge goes through exactly the same component-wise max
+as the end-finish join — the join rule is what makes this baseline
+*general* rather than async/finish-only; it is pinned by the regression
+corpus entry ``tests/corpus/vc_future_get_join.json`` and audited against
+the brute-force oracle by the ``vector-clock`` fuzz row.  Unlike the DTRG
+detector no bounded-reader lemma applies, so a shadow cell keeps one read
+stamp per task that read the location since its last write — another axis
+of the memory blow-up.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
-
-from repro.baselines.base import BaselineDetector
-from repro.core.races import AccessKind, ReportPolicy
+from repro.core.parallel_detector import ParallelRaceDetector
 
 __all__ = ["VectorClockDetector"]
 
-Epoch = Tuple[int, int]  # (task tid, clock value)
 
-
-class _Cell:
-    __slots__ = ("write_epoch", "read_epochs")
-
-    def __init__(self) -> None:
-        self.write_epoch: Optional[Epoch] = None
-        self.read_epochs: Dict[int, int] = {}
-
-
-class VectorClockDetector(BaselineDetector):
+class VectorClockDetector(ParallelRaceDetector):
     """Precise vector-clock detector supporting async, finish and future."""
 
-    def __init__(
-        self,
-        policy: ReportPolicy | str = ReportPolicy.COLLECT,
-        *,
-        dedupe: bool = True,
-    ) -> None:
-        super().__init__(policy, dedupe=dedupe)
-        self._clocks: Dict[int, Dict[int, int]] = {}
-        self._final: Dict[int, Dict[int, int]] = {}
-        self._cells: Dict[Hashable, _Cell] = {}
-        # Instrumentation for the scaling benchmark.
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Clock entries copied or merged so far (the scaling benchmark).
         self.total_clock_entries_copied = 0
 
-    # ------------------------------------------------------------------ #
-    def on_init(self, main) -> None:
-        self._remember_name(main)
-        self._clocks[main.tid] = {main.tid: 1}
-
     def on_task_create(self, parent, child) -> None:
-        self._remember_name(child)
-        pvc = self._clocks[parent.tid]
-        cvc = dict(pvc)  # O(|VC|) copy — the cost the paper warns about
-        self.total_clock_entries_copied += len(pvc)
-        cvc[child.tid] = 1
-        self._clocks[child.tid] = cvc
-        pvc[parent.tid] = pvc.get(parent.tid, 0) + 1
+        # O(|VC|) copy of the parent's clock — the cost the paper warns about.
+        self.total_clock_entries_copied += len(self._clocks[parent.tid])
+        super().on_task_create(parent, child)
 
-    def on_task_end(self, task) -> None:
-        # Freeze by copy: joiners must see the clock as of the task's
-        # last step.  (The live dict happens never to be mutated again —
-        # only join *destinations* mutate, and a terminated task is never
-        # a destination — but aliasing made that a global invariant
-        # instead of a local one.)
-        self._final[task.tid] = dict(self._clocks[task.tid])
-
-    def on_get(self, consumer, producer) -> None:
-        self._join(consumer.tid, producer.tid)
-
-    def on_finish_end(self, scope) -> None:
-        owner = scope.owner.tid
-        for task in scope.joins:
-            self._join(owner, task.tid)
-
-    def on_write(self, task, loc) -> None:
-        tid = task.tid
-        vc = self._clocks[tid]
-        cell = self._cell(loc)
-        for rt, rc in cell.read_epochs.items():
-            if rt != tid and vc.get(rt, 0) < rc:
-                self._report_race(AccessKind.READ_WRITE, rt, tid, loc)
-        cell.read_epochs.clear()
-        we = cell.write_epoch
-        if we is not None and we[0] != tid and vc.get(we[0], 0) < we[1]:
-            self._report_race(AccessKind.WRITE_WRITE, we[0], tid, loc)
-        cell.write_epoch = (tid, vc[tid])
-
-    def on_read(self, task, loc) -> None:
-        tid = task.tid
-        vc = self._clocks[tid]
-        cell = self._cell(loc)
-        we = cell.write_epoch
-        if we is not None and we[0] != tid and vc.get(we[0], 0) < we[1]:
-            self._report_race(AccessKind.WRITE_READ, we[0], tid, loc)
-        cell.read_epochs[tid] = vc[tid]
-
-    # ------------------------------------------------------------------ #
     def _join(self, dst: int, src: int) -> None:
-        dvc = self._clocks[dst]
-        svc = self._final.get(src)
-        if svc is None:
-            raise ValueError(
-                f"vector-clock join of task {src} before its task-end "
-                "event: a get() cannot return before its producer ends, "
-                "so the event stream is not a serial depth-first "
-                "execution order"
-            )
-        self.total_clock_entries_copied += len(svc)
-        for t, c in svc.items():
-            if dvc.get(t, 0) < c:
-                dvc[t] = c
-        dvc[dst] = dvc.get(dst, 0) + 1
-
-    def _cell(self, loc: Hashable) -> _Cell:
-        cell = self._cells.get(loc)
-        if cell is None:
-            cell = _Cell()
-            self._cells[loc] = cell
-        return cell
+        super()._join(dst, src)
+        self.total_clock_entries_copied += len(self._final[src])
 
     @property
     def max_clock_size(self) -> int:
         """Largest vector clock materialized — the memory-growth metric."""
-        sizes = [len(vc) for vc in self._clocks.values()]
-        return max(sizes) if sizes else 0
+        return max(map(len, self._clocks.values()), default=0)

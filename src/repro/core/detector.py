@@ -13,7 +13,7 @@ Algorithm 1 (init)       :meth:`on_init`
 Algorithm 2 (spawn)      :meth:`on_task_create`
 Algorithm 3 (end)        :meth:`on_task_end`
 Algorithm 4 (get)        :meth:`on_get`
-Algorithm 5 (start fin)  :meth:`on_finish_start` (bookkeeping only)
+Algorithm 5 (start fin)  runtime scope bookkeeping only (no DTRG change)
 Algorithm 6 (end fin)    :meth:`on_finish_end`
 Algorithm 7 (merge)      :meth:`DynamicTaskReachabilityGraph.merge`
 Algorithm 8 (write)      :meth:`on_write` → :meth:`ShadowMemory.write`
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Hashable, Optional
 
-from repro.core.backend import resolve_engine
 from repro.core.events import ExecutionObserver
 from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
 from repro.core.reachability import DynamicTaskReachabilityGraph
@@ -73,19 +72,14 @@ class DeterminacyRaceDetector(ExecutionObserver):
         to measure the paper's plain algorithms (``bench_ablations.py``,
         ``bench_precede_cache.py``).
     engine:
-        The PRECEDE backend (see :mod:`repro.core.backend`):
         ``"array"`` (default: the integer access kernel of
-        :mod:`repro.core.fastcheck` on the flat-array DTRG, §13),
-        ``"object"``/``"dtrg"`` (the paper's DTRG and shadow memory, the
-        reference and the only engine with ablation switches,
-        ``cache_precede=False``, observability and witnesses),
-        ``"depa"`` (order-maintenance labels for the fork-join fragment
-        — declines future ``get`` edges with
-        :class:`~repro.runtime.errors.UnsupportedConstructError`), or
-        ``"vc"`` (future-aware vector clocks).  All engines produce
-        bit-identical race lists on the fragments they support.  The
-        array engine binds ``on_read``/``on_write`` per instance, so a
-        subclass overriding those hooks must pass ``engine="object"``.
+        :mod:`repro.core.fastcheck` on the flat-array DTRG, §13) or
+        ``"object"`` (the paper's DTRG and shadow memory, the reference
+        and the only engine with ablation switches,
+        ``cache_precede=False``, observability and witnesses).  Both
+        produce bit-identical race lists.  The array engine binds
+        ``on_read``/``on_write`` per instance, so a subclass overriding
+        those hooks must pass ``engine="object"``.
     obs:
         Optional :class:`repro.obs.Observability` sink.  When enabled it
         is attached to the DTRG (PRECEDE latency/frontier/cache-outcome
@@ -138,7 +132,10 @@ class DeterminacyRaceDetector(ExecutionObserver):
         if isinstance(policy, str):
             policy = ReportPolicy(policy)
         self.policy = policy
-        engine = resolve_engine(engine)
+        if engine not in ("array", "object"):
+            raise ValueError(
+                f"unknown DTRG engine {engine!r}; choose 'array' or 'object'"
+            )
         self.engine = engine
         self.report = RaceReport(dedupe=dedupe)
         self.obs = (
@@ -155,12 +152,12 @@ class DeterminacyRaceDetector(ExecutionObserver):
         else:
             self.provenance = None
             self._witness_cls = None
-        if engine != "object":
-            # The other engines implement only the paper's default query
+        if engine == "array":
+            # The kernel implements only the paper's default query
             # strategy with the epoch memo on (the Algorithm 10 ablation
             # switches and cache_precede are object-graph concepts), and
-            # none carry the observability hooks or the explain_precede
-            # witness builder.
+            # carries neither the observability hooks nor the
+            # explain_precede witness builder.
             if not (use_lsa and memoize_visit and use_intervals
                     and cache_precede):
                 raise ValueError(
@@ -185,22 +182,12 @@ class DeterminacyRaceDetector(ExecutionObserver):
         if engine == "array":
             self._bind_kernel()
             return
-        if engine == "depa":
-            from repro.core.depa import DePaBackend
-
-            self.dtrg = DePaBackend()
-        elif engine == "vc":
-            from repro.core.vc_backend import VectorClockBackend
-
-            self.dtrg = VectorClockBackend()
-        else:
-            self.dtrg = DynamicTaskReachabilityGraph(
-                use_lsa=use_lsa,
-                memoize_visit=memoize_visit,
-                use_intervals=use_intervals,
-                cache_precede=cache_precede,
-            )
-        dtrg = self.dtrg
+        dtrg = self.dtrg = DynamicTaskReachabilityGraph(
+            use_lsa=use_lsa,
+            memoize_visit=memoize_visit,
+            use_intervals=use_intervals,
+            cache_precede=cache_precede,
+        )
         # Attach before binding dtrg.precede below, so the shadow memory
         # queries through the traced entry point when tracing is on.
         if self.obs is not None:
@@ -249,20 +236,12 @@ class DeterminacyRaceDetector(ExecutionObserver):
         """Algorithm 4: tree join (merge) or non-tree join (record edge)."""
         self.dtrg.record_join(consumer.tid, producer.tid)
 
-    def on_finish_start(self, scope) -> None:
-        """Algorithm 5: scope bookkeeping lives in the runtime; backends
-        that maintain finish-scoped labels (DePa) observe the boundary.
-        The DTRG engines implement ``begin_finish`` as an epoch-free
-        no-op, so the object/array counter contract is untouched."""
-        self.dtrg.begin_finish(scope.owner.tid)
-
     def on_finish_end(self, scope) -> None:
         """Algorithm 6: merge every task whose IEF is this scope into the
-        owner task's set, then close the scope for label backends."""
+        owner task's set."""
         owner = scope.owner.tid
         for task in scope.joins:
             self.dtrg.merge(owner, task.tid)
-        self.dtrg.end_finish(owner)
 
     def on_read(self, task, loc: Hashable) -> None:
         """Algorithm 9 via the shadow memory."""

@@ -7,13 +7,10 @@ is proven sound and precise **for the serial depth-first elision**
 * interval-label containment answers "spawn-tree ancestor" only when
   terminations arrive in LIFO order relative to spawns;
 * the shadow memory's single-plain-async-reader retention (Lemma 4) keeps
-  the *leftmost-in-DFS* reader as the representative;
-* the vector-clock backend's live-task branch walks spawn-tree ancestry,
-  which is only equivalent to happens-before when an ancestor's
-  post-spawn accesses cannot yet have happened.
+  the *leftmost-in-DFS* reader as the representative.
 
 Under a real parallel schedule (``ThreadRuntime``) or a cooperative
-non-DFS interleaving (``AsyncioRuntime``) all three break.
+non-DFS interleaving (``AsyncioRuntime``) both break.
 :class:`ParallelRaceDetector` therefore checks accesses with the one
 PRECEDE representation that is exact under *any* linearization of the
 computation graph's happens-before order: future-aware vector clocks at
@@ -23,8 +20,9 @@ determinacy races — every access is recorded as the pair
 access time, and a later access by task ``b`` is ordered after it iff
 ``clock(b)[task] >= stamp``).
 
-Clock algebra (identical to :class:`~repro.core.vc_backend.VectorClockBackend`,
-whose serial-only live-task shortcut is exactly what this module replaces):
+Clock algebra (the repository's one copy; the paper's §1/§6 vector-clock
+strawman, :class:`repro.baselines.VectorClockDetector`, subclasses this
+detector and only adds its clock-growth counters):
 
 * spawn: the child inherits a copy of the parent's clock plus its own
   fresh component; the parent then ticks (post-spawn parent work is
@@ -65,10 +63,11 @@ Thread-safety contract (the runtime side of ALGORITHM.md §15):
 * the race report is shared across cells and guarded by an internal
   lock here.
 
-``mutation_epoch`` counts structural mutations under the same contract
-as :mod:`repro.core.backend` ("epoch unchanged ⇒ no structural mutation
-happened between the two reads"), which makes the per-cell same-access
-fast path below well-defined even mid-schedule.
+``mutation_epoch`` follows the epoch contract the DTRG engines also keep:
+each structural hook (init, spawn, task end, and each join) bumps it, so
+two equal reads of it mean no structural mutation happened between them.
+That makes the per-cell same-access fast path below well-defined even
+mid-schedule.
 """
 
 from __future__ import annotations
@@ -153,7 +152,8 @@ class ParallelRaceDetector(ExecutionObserver):
         #: per-location locks; this lock covers the cross-location shared
         #: pieces only, so it is never contended on the per-cell state).
         self._lock = threading.Lock()
-        #: Structural mutation counter (core/backend.py epoch contract).
+        #: Structural mutation counter (the module docstring's epoch
+        #: contract).
         self.mutation_epoch = 0
         self.num_accesses = 0
         #: Per-stripe access tallies, indexed like ThreadRuntime's

@@ -15,9 +15,10 @@ Every workload row holds the same fixed set of **legs**
 * ``seq``, ``instrumented``, ``online`` — the live Table 2
   configurations (serial elision, instrumented run without a detector,
   and the default online detector, the integer access kernel);
-* ``replay[dtrg]``, ``replay[array]``, ``replay[depa]``, ``replay[vc]``
-  — one recorded trace replayed into ``DeterminacyRaceDetector(engine=…)``
-  for every PRECEDE backend (docs/ALGORITHM.md §14);
+* ``replay[dtrg]``, ``replay[array]`` — one recorded trace replayed into
+  ``DeterminacyRaceDetector`` on the paper's object DTRG
+  (``engine="object"``) and on the integer access kernel
+  (``engine="array"``);
 * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the same
   trace; ``fast+served`` — the same call with live telemetry attached
   and its ``/metrics`` scraped every 250 ms;
@@ -26,13 +27,12 @@ Every workload row holds the same fixed set of **legs**
   :class:`~repro.core.parallel_detector.ParallelRaceDetector` on the
   serial elision and on the work-stealing ThreadRuntime.
 
-A leg's ``status`` is ``ok``, ``declined`` (DePa refusing a future
-``get`` — an honest fragment boundary, reported as data) or ``error``.
-A row is ``identical`` when every completed replay leg reproduces
-``replay[dtrg]``'s summary text and ordered race pair list bit-for-bit,
-``fast`` and ``fast+served`` also match its invariant perf counters, and
-every ``threads-N`` leg reports ``parallel[serial]``'s racy-location set
-and task count.  Every leg also verifies the workload's output.
+A leg's ``status`` is ``ok`` or ``error``.  A row is ``identical`` when
+every completed replay leg reproduces ``replay[dtrg]``'s summary text
+and ordered race pair list bit-for-bit, ``fast`` and ``fast+served``
+also match its invariant perf counters, and every ``threads-N`` leg
+reports ``parallel[serial]``'s racy-location set and task count.  Every
+leg also verifies the workload's output.
 
 Schema (``repro.bench/2``)::
 
@@ -45,7 +45,7 @@ Schema (``repro.bench/2``)::
        "fast_speedup_vs_replay": ..., "served_overhead_pct": ...,
        "structural": {...}, "detector_perf": {...},
        "legs": {"seq": {"status": "ok", "seconds": ...},
-                "replay[depa]": {"status": "declined", "detail": ...},
+                "replay[array]": {"status": "ok", "seconds": ...},
                 "fast": {"status": "ok", "seconds": ...,
                          "access_events_per_second": ..., ...}, ...},
        "identical": ..., "mismatches": [...]}, ...]}
@@ -207,7 +207,6 @@ def bench_data(
             f"(x{row['fast_speedup_vs_replay']:.2f} vs replay, "
             f"{legs['fast']['access_events_per_second'] / 1e3:.0f}k acc/s), "
             f"served {row['served_overhead_pct']:+.2f}%, "
-            f"depa {legs['replay[depa]']['status']}, "
             f"identical={row['identical']}",
             file=out,
         )
@@ -235,7 +234,7 @@ def bench_data(
 def bench_markdown(data: dict) -> str:
     """Render a ``repro.bench/2`` document as a markdown table: one row
     per workload, one column of best wall milliseconds per leg
-    (``declined``/``error`` for incomplete legs), and the verdict
+    (``error`` for incomplete legs), and the verdict
     identity gate."""
     lines = [
         "| Workload | #Events | #Gets | Races | "

@@ -12,8 +12,8 @@ the paper's three configurations:
 * ``Racedet``      — instrumentation + the determinacy race detector.
 
 It also runs the other legs of a ``repro-bench`` row (:data:`LEGS`):
-:func:`run_trace_legs` checks one recorded trace with every PRECEDE
-backend and the fast kernel, and :func:`run_parallel_legs` runs the
+:func:`run_trace_legs` checks one recorded trace with both detector
+engines and the fast kernel, and :func:`run_parallel_legs` runs the
 workload live under the ParallelRaceDetector on each runtime.
 """
 
@@ -162,14 +162,12 @@ class BenchmarkResult:
 
 
 
-#: PRECEDE backends replayed over each recorded trace
-#: (``DeterminacyRaceDetector(engine=…)``); the first is the golden one.
-REPLAY_ENGINES = ("dtrg", "array", "depa", "vc")
+#: Replay leg -> ``DeterminacyRaceDetector(engine=…)`` run over each
+#: recorded trace; the first, the paper's object DTRG, is the golden one.
+REPLAY_LEGS = {"replay[dtrg]": "object", "replay[array]": "array"}
 #: ThreadRuntime pool sizes of the live parallel legs.
 THREAD_WORKERS = (1, 2, 4)
-TRACE_LEGS = tuple(f"replay[{e}]" for e in REPLAY_ENGINES) + (
-    "fast", "fast+served",
-)
+TRACE_LEGS = tuple(REPLAY_LEGS) + ("fast", "fast+served")
 PARALLEL_LEGS = ("parallel[serial]",) + tuple(
     f"threads-{w}" for w in THREAD_WORKERS
 )
@@ -189,12 +187,10 @@ _INVARIANT_PERF = (
 class LegResults:
     """Some legs of one ``repro-bench`` row.
 
-    ``legs`` maps a leg name to its row: ``status`` is ``"ok"``,
-    ``"declined"`` (DePa refusing a future ``get`` with
-    ``UnsupportedConstructError``, an honest fragment boundary, not a
-    failure) or ``"error"``; a completed leg carries its
-    best-of-``repeats`` wall ``seconds`` and its ``races``.  ``counts``
-    holds the workload's event counts as the legs saw them.
+    ``legs`` maps a leg name to its row: ``status`` is ``"ok"`` or
+    ``"error"``; a completed leg carries its best-of-``repeats`` wall
+    ``seconds`` and its ``races``.  ``counts`` holds the workload's
+    event counts as the legs saw them.
     ``mismatches`` lists every way a leg's verdicts differ from its
     group's golden leg, and every ``error`` leg (empty = identical).
     Mismatches are recorded, not raised, so a violation still lands in
@@ -309,10 +305,11 @@ def run_trace_legs(
     """Record one workload's trace once, then check it on every trace
     leg back-to-back in this process.
 
-    * ``replay[engine]`` — :func:`~repro.memory.tracer.replay_trace` into
-      ``DeterminacyRaceDetector(engine=…)`` for each of
-      :data:`REPLAY_ENGINES`; ``replay[dtrg]``, the paper reference
-      engine, is the golden leg.
+    * ``replay[dtrg]``, ``replay[array]`` —
+      :func:`~repro.memory.tracer.replay_trace` into
+      ``DeterminacyRaceDetector`` with the engine :data:`REPLAY_LEGS`
+      names; ``replay[dtrg]``, the paper reference engine, is the golden
+      leg.
     * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the
       recorded columns, with its own phase timings.
     * ``fast+served`` — the same call with a
@@ -336,7 +333,6 @@ def run_trace_legs(
     from repro.core.detector import DeterminacyRaceDetector
     from repro.core.fastcheck import check_trace_fast
     from repro.memory.tracer import TraceRecorder, replay_trace
-    from repro.runtime.errors import UnsupportedConstructError
 
     bench = _bench(name)
     params = bench.params(scale)
@@ -360,18 +356,14 @@ def run_trace_legs(
     gc.disable()
     try:
         for _ in range(repeats):
-            for engine in REPLAY_ENGINES:
-                leg = f"replay[{engine}]"
-                if leg in legs:  # declined or failed: not retried
+            for leg, engine in REPLAY_LEGS.items():
+                if leg in legs:  # failed: not retried
                     continue
                 detector = DeterminacyRaceDetector(engine=engine)
                 gc.collect()
                 start = time.perf_counter()
                 try:
                     replay_trace(trace, [detector])
-                except UnsupportedConstructError as exc:
-                    legs[leg] = {"status": "declined", "detail": str(exc)}
-                    continue
                 except Exception as exc:
                     detail = f"{type(exc).__name__}: {exc}"
                     legs[leg] = {"status": "error", "detail": detail}
@@ -539,7 +531,10 @@ def run_benchmark(
     ``repeats`` keeps the best wall time per configuration (the paper uses
     the mean of 10 in-JVM runs to dodge JIT warmup; CPython has no warmup,
     so min-of-N suffices and is the conventional choice for interpreted
-    code).
+    code).  The instrumented and detector repeats each start from a
+    collected heap: a repeat keeps only its numbers, so the previous
+    run's detector and shadow state are gone before the next timed call
+    instead of being walked by the cyclic collector inside it.
 
     ``obs`` (an :class:`repro.obs.Observability`) instruments the *Racedet*
     configuration only — the Seq and Instrumented bars stay untouched so
@@ -559,6 +554,7 @@ def run_benchmark(
     instr_best = float("inf")
     metrics: Optional[Metrics] = None
     for _ in range(repeats):
+        gc.collect()
         run = run_instrumented(
             lambda rt: bench.parallel(rt, params), detect=False
         )
@@ -566,12 +562,14 @@ def run_benchmark(
         metrics = run.metrics
         if verify:
             bench.verify(params, run.result)
+        del run
 
     det_best = float("inf")
     avg_readers = 0.0
     races = 0
     perf = DetectorPerf()
     for _ in range(repeats):
+        gc.collect()
         run = run_instrumented(
             lambda rt: bench.parallel(rt, params), detect=True, obs=obs
         )
@@ -581,6 +579,7 @@ def run_benchmark(
         perf = DetectorPerf.from_detector(run.detector)
         if verify:
             bench.verify(params, run.result)
+        del run
 
     assert metrics is not None
     return BenchmarkResult(

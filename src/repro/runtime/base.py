@@ -37,7 +37,8 @@ The contract every implementation honours:
 * Observer dispatch ordering: a task's ``on_task_end`` happens before any
   ``on_get`` naming it as producer and before its finish scope's
   ``on_finish_end`` — detectors may rely on producers being finalized at
-  join time (the vector-clock engines do).
+  join time (:class:`~repro.core.parallel_detector.ParallelRaceDetector`
+  and the vector-clock baseline built on it do).
 
 Only the *event order* differs between substrates: the serial runtime
 emits the depth-first order, the concurrent ones emit whatever order the

@@ -53,8 +53,8 @@ contract detectors rely on):
 
 * a task's ``on_task_end`` is dispatched *before* its completion flag /
   done signal, hence before any ``on_get`` naming it as producer and
-  before its IEF's pending count can reach zero — vector-clock engines
-  always join against a frozen producer clock;
+  before its IEF's pending count can reach zero — ParallelRaceDetector
+  always joins against a frozen producer clock;
 * ``on_finish_end`` is dispatched only after every task registered in
   the scope (including transitively spawned ones with the same IEF) has
   completed.

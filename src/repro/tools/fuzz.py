@@ -21,13 +21,8 @@ which is checked in up to two modes:
   graph with an optimization switched off, which must never change a
   verdict) must report exactly the oracle's racy locations; every
   restricted detector (spd3, espbags, spbags, offset-span) must either
-  refuse with ``UnsupportedConstructError`` or agree; the pluggable
-  PRECEDE backends (``vc`` — general, must always agree; ``depa`` —
-  fork-join order-maintenance labels, must refuse on a future ``get`` or
-  agree; docs/ALGORITHM.md §14) run as parity rows under the same rules,
-  so agreeing with the oracle makes every backend agree with the dtrg and
-  with each other by transitivity; and each completed run must round-trip
-  through
+  refuse with ``UnsupportedConstructError`` or agree; and each completed
+  run must round-trip through
   :class:`~repro.memory.tracer.TraceRecorder`/:func:`replay_trace` with an
   identical verdict (record-replay parity).  The ``dtrg`` row runs the
   reference object engine; ``dtrg[array]`` runs the default integer
@@ -38,12 +33,9 @@ which is checked in up to two modes:
   race list and ``summary()`` text the dtrg replay detector's.
 * **wild** (out-of-band handle registry, outside the model's guarantee):
   nothing may crash, and the exact detector — whose reachability needs no
-  reference-flow assumption — must still match the oracle.  dtrg,
-  vector-clock and ``vc`` verdicts are *not* compared here;
-  task-granularity false positives/negatives are documented behavior
-  (DESIGN.md deviation #4).  ``depa`` may refuse (a get executed) but,
-  when it accepts, the program was get-free and mode-independent, so its
-  verdict must still match the oracle.
+  reference-flow assumption — must still match the oracle.  dtrg and
+  vector-clock verdicts are *not* compared here; task-granularity false
+  positives/negatives are documented behavior (DESIGN.md deviation #4).
 
 Failures are triaged by deduplicated signature, minimized with the
 hypothesis-free ddmin shrinker (:mod:`repro.testing.shrinker`), printed as
@@ -131,20 +123,8 @@ KERNEL_NAME = "dtrg[array]"
 #: The ``dtrg`` row is the paper's reference engine, the oracle side of
 #: every dtrg comparison below.
 REFERENCE = dict(engine="object")
-#: Alternative PRECEDE backends behind ``DeterminacyRaceDetector(engine=…)``
-#: (docs/ALGORITHM.md §14).  ``vc`` is general — future-aware vector clocks
-#: must report exactly the oracle's racy set on every scoped program (and
-#: match the dtrg and depa rows by transitivity).  ``depa`` covers the
-#: fork-join fragment only: like the RESTRICTED family it must refuse (via
-#: ``UnsupportedConstructError`` on a future ``get``) or agree with the
-#: oracle.  Both rows also run in wild mode with refusal tolerance.
-BACKENDS = {
-    "depa": dict(engine="depa"),
-    "vc": dict(engine="vc"),
-}
-#: Detectors exercised in wild mode (refusals allowed for BACKENDS only;
-#: anything else that raises is a crash).
-WILD = (ORACLE,) + GENERAL + tuple(BACKENDS)
+#: Detectors exercised in wild mode (anything that raises is a crash).
+WILD = (ORACLE,) + GENERAL
 #: Stats row for the batched fast checker behind ``racecheck --fast``: per
 #: scoped seed and per corpus entry, the trace recorded with
 #: :class:`~repro.memory.tracer.TraceRecorder` is checked by
@@ -171,11 +151,8 @@ RUNTIME_ROWS = tuple(
 
 
 def _make_detector(name: str, obs=None):
-    """Instantiate a detector by registry, ablation or backend name."""
-    if name == "dtrg":
-        options = REFERENCE
-    else:
-        options = ABLATIONS.get(name) or BACKENDS.get(name)
+    """Instantiate a detector by registry or ablation name."""
+    options = REFERENCE if name == "dtrg" else ABLATIONS.get(name)
     if options is not None:
         from repro.core.detector import DeterminacyRaceDetector
 
@@ -223,8 +200,7 @@ class FuzzStats:
     def detector_rows(self) -> List[Dict[str, object]]:
         order = (
             (ORACLE,) + GENERAL + RESTRICTED + tuple(ABLATIONS)
-            + tuple(BACKENDS) + (FAST_NAME, RUNTIME_SERIAL)
-            + RUNTIME_ROWS
+            + (FAST_NAME, RUNTIME_SERIAL) + RUNTIME_ROWS
         )
         rows = []
         for name in order:
@@ -487,7 +463,7 @@ def check_seed(
                  f"{sorted(_verdict(replayed_oracle), key=repr)}")
 
         reference = None  # the live dtrg row, for the kernel parity check
-        for name in GENERAL + RESTRICTED + tuple(ABLATIONS) + tuple(BACKENDS):
+        for name in GENERAL + RESTRICTED + tuple(ABLATIONS):
             try:
                 det, _ = _run_live(
                     name, program, scoped=True,
@@ -596,18 +572,6 @@ def check_seed(
                 det, wild_trace = _run_live(
                     name, program, scoped=False, record=True
                 )
-            except UnsupportedConstructError as exc:
-                stats.tally(name, "runs")
-                if name in BACKENDS:
-                    # depa's fork-join fragment refusal is honest in any
-                    # mode; from every other wild detector it is a crash.
-                    stats.tally(name, "refusals")
-                    continue
-                stats.tally(name, "crashes")
-                fail("wild", "crash", name,
-                     f"wild:crash:{name}:{type(exc).__name__}",
-                     f"{type(exc).__name__}: {exc}")
-                continue
             except Exception as exc:
                 stats.tally(name, "runs")
                 stats.tally(name, "crashes")
@@ -646,21 +610,6 @@ def check_seed(
                 fail("wild", "divergence", "exact",
                      f"wild:divergence:exact:{direction}",
                      f"exact {sorted(verdicts['exact'], key=repr)} vs oracle "
-                     f"{sorted(verdicts[ORACLE], key=repr)}")
-        # DePa accepts a wild program only when no get executed, and a
-        # get-free program never consults the handle registry — so the
-        # fork-join fragment's oracle parity must hold in wild mode too.
-        # vc inherits the vector-clock caveat (task-granularity verdicts
-        # are not compared on wild handle flows; DESIGN.md deviation #4).
-        if ORACLE in verdicts and "depa" in verdicts:
-            if verdicts["depa"] != verdicts[ORACLE]:
-                stats.tally("depa", "divergences")
-                direction = _diff_direction(
-                    verdicts["depa"], verdicts[ORACLE]
-                )
-                fail("wild", "divergence", "depa",
-                     f"wild:divergence:depa:{direction}",
-                     f"depa {sorted(verdicts['depa'], key=repr)} vs oracle "
                      f"{sorted(verdicts[ORACLE], key=repr)}")
 
     return failures
@@ -783,7 +732,7 @@ def replay_corpus(corpus_dir: Path, out=None) -> int:
             problems.append(
                 f"oracle {sorted(_verdict(oracle), key=repr)} != declared "
                 f"{sorted(want, key=repr)}")
-        for name in GENERAL + RESTRICTED + tuple(ABLATIONS) + tuple(BACKENDS):
+        for name in GENERAL + RESTRICTED + tuple(ABLATIONS):
             try:
                 det, _ = _run_live(name, entry.program, scoped=True)
             except UnsupportedConstructError:

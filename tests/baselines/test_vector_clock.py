@@ -2,8 +2,12 @@
 
 import random
 
+import pytest
+
 from repro import DeterminacyRaceDetector, Runtime, SharedArray
 from repro.baselines import VectorClockDetector
+from repro.core.parallel_detector import ParallelRaceDetector
+from repro.runtime.task import Task, TaskKind
 from repro.testing.generator import random_program, run_program
 from repro.testing.programs import CORPUS, run_corpus_program
 
@@ -91,3 +95,18 @@ def test_copy_cost_grows_quadratically_with_joined_spawns():
     # joining k futures makes main's clock size ~k; each spawn copies it:
     # doubling n should roughly quadruple the copied entries.
     assert c2 > 3 * c1
+
+
+def test_join_before_task_end_is_a_malformed_stream():
+    """A get can never return before its producer ends, so a join that
+    arrives first is a malformed event stream: a pointed error, not a
+    bare ``KeyError``."""
+    for cls in (VectorClockDetector, ParallelRaceDetector):
+        det = cls()
+        main = Task(0, TaskKind.MAIN, parent=None, ief=None)
+        det.on_init(main)
+        child = Task(1, TaskKind.FUTURE, parent=main, ief=None)
+        det.on_task_create(main, child)
+        with pytest.raises(RuntimeError, match="before its task-end"):
+            det.on_get(main, child)
+

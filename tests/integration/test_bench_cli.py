@@ -42,6 +42,11 @@ def test_bench_writes_schema_tagged_json(tmp_path, capsys):
 
 
 def test_bench_every_leg_present_and_identical(tmp_path, capsys):
+    assert LEGS == (
+        "seq", "instrumented", "online",
+        "replay[dtrg]", "replay[array]", "fast", "fast+served",
+        "parallel[serial]", "threads-1", "threads-2", "threads-4",
+    )
     out = tmp_path / "BENCH.json"
     code = main(["--scale", "tiny", "--repeats", "1",
                  "--only", "Series-future", "--only", "Crypt-af",
@@ -50,8 +55,8 @@ def test_bench_every_leg_present_and_identical(tmp_path, capsys):
     rows = {w["name"]: w for w in json.loads(out.read_text())["workloads"]}
     for row in rows.values():
         assert row["identical"] is True and row["mismatches"] == []
-        assert list(LEGS) == sorted(row["legs"], key=LEGS.index)
-        assert len(row["legs"]) == 13
+        assert set(row["legs"]) == set(LEGS)
+        assert all(leg["status"] == "ok" for leg in row["legs"].values())
         # The overhead compares the served block with the detached block
         # timed right before it, not with the earlier ``fast`` rounds.
         served = row["legs"]["fast+served"]
@@ -60,11 +65,6 @@ def test_bench_every_leg_present_and_identical(tmp_path, capsys):
         assert row["served_overhead_pct"] == round(
             (served["seconds"] - detached) / detached * 100.0, 2
         )
-    # DePa's labels cover the fork-join fragment only: it declines the
-    # workload with a future get and completes the async-finish one.
-    assert rows["Series-future"]["legs"]["replay[depa]"]["status"] == \
-        "declined"
-    assert rows["Crypt-af"]["legs"]["replay[depa]"]["status"] == "ok"
 
 
 def test_bench_planted_divergence_exits_one(tmp_path, monkeypatch, capsys):

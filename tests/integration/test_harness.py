@@ -21,6 +21,35 @@ def test_run_benchmark_produces_complete_row():
     assert res.races == 0
 
 
+def test_run_benchmark_drops_each_repeat_before_the_next(monkeypatch):
+    """The previous repeat's detector (and its shadow state) must be gone
+    before the next timed run starts, or the cyclic collector walks it
+    inside that run's wall time."""
+    import weakref
+
+    from repro.harness import runner
+
+    real = runner.run_instrumented
+    previous = []
+    detect_calls = 0
+
+    def checked(entry, *, detect, **kwargs):
+        nonlocal detect_calls
+        if detect:
+            assert all(ref() is None for ref in previous), (
+                "previous repeat's detector still alive"
+            )
+            detect_calls += 1
+        run = real(entry, detect=detect, **kwargs)
+        if detect:
+            previous.append(weakref.ref(run.detector))
+        return run
+
+    monkeypatch.setattr(runner, "run_instrumented", checked)
+    res = run_benchmark("Series-af", "tiny", repeats=3)
+    assert detect_calls == 3 and res.races == 0
+
+
 def test_run_benchmark_unknown_name():
     with pytest.raises(KeyError):
         run_benchmark("NoSuch", "tiny")

@@ -17,6 +17,12 @@ Properties over 200 generated programs (ALGORITHM.md §13):
 4. **First race under ``--policy raise``** — the kernel raises
    :class:`~repro.runtime.errors.RaceError` on the same race as the
    object engine.
+5. **In-contract query equivalence** — the detector only asks
+   ``precede(a, b)`` while ``b`` is the currently executing task.  Raw
+   object and array DTRGs fed the detector's structural events agree on
+   ``precede(a, current)`` for every task seen so far, at every event
+   boundary of the run (not just on the finished graph, where the final
+   end-finish merges make most answers ``True``).
 
 The internal verdict memo in ``ArrayDTRG`` and the kernel's fast paths
 are exactly the machinery these sweeps exist to keep honest: any verdict
@@ -27,9 +33,12 @@ import random
 
 import pytest
 
+from repro.core.array_dtrg import ArrayDTRG
 from repro.core.detector import DeterminacyRaceDetector
+from repro.core.events import ExecutionObserver
 from repro.core.fastcheck import check_trace_fast
 from repro.core.races import ReportPolicy
+from repro.core.reachability import DynamicTaskReachabilityGraph
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.runtime.errors import RaceError
 from repro.testing.generator import random_program, run_program
@@ -140,3 +149,76 @@ def test_raise_policy_stops_at_the_same_first_race():
         assert got == want, f"seed {seed}: first race {got} vs {want}"
         raised += want is not None
     assert raised > 0
+
+
+class _QueryHarness(ExecutionObserver):
+    """Forward structure to a raw object and array DTRG the way the
+    detector does, and diff ``precede(a, current)`` at every boundary."""
+
+    def __init__(self):
+        self.golden = DynamicTaskReachabilityGraph()
+        self.array = ArrayDTRG()
+        self.known = []
+        self.stack = []
+        self.divergences = []
+        self.queries = 0
+
+    def _each(self, method, *args, **kwargs):
+        getattr(self.golden, method)(*args, **kwargs)
+        getattr(self.array, method)(*args, **kwargs)
+
+    def _diff(self, point):
+        if not self.stack:
+            return
+        cur = self.stack[-1]
+        for a in self.known:
+            self.queries += 1
+            want = self.golden.precede(a, cur)
+            got = self.array.precede(a, cur)
+            if got != want:
+                self.divergences.append(
+                    f"{point}: precede({a}, {cur}) array={got} vs "
+                    f"object={want}"
+                )
+
+    def on_init(self, main):
+        self._each("add_root", main.tid, name=main.name)
+        self.known.append(main.tid)
+        self.stack.append(main.tid)
+        self._diff("init")
+
+    def on_task_create(self, parent, child):
+        self._each("add_task", parent.tid, child.tid,
+                   is_future=child.is_future, name=child.name)
+        self.known.append(child.tid)
+        self.stack.append(child.tid)
+        self._diff("task-create")
+
+    def on_task_end(self, task):
+        self._diff("task-end")
+        self._each("on_terminate", task.tid)
+        if self.stack and self.stack[-1] == task.tid:
+            self.stack.pop()
+
+    def on_get(self, consumer, producer):
+        self._each("record_join", consumer.tid, producer.tid)
+        self._diff("get")
+
+    def on_finish_end(self, scope):
+        owner = scope.owner.tid
+        for task in scope.joins:
+            self._each("merge", owner, task.tid)
+        self._diff("finish-end")
+
+
+@pytest.mark.parametrize("band", range(0, NUM_SEEDS, BAND))
+def test_engines_agree_in_contract(band):
+    queries = 0
+    for seed in range(band, band + BAND):
+        harness = _QueryHarness()
+        run_program(random_program(random.Random(seed)), [harness])
+        assert not harness.divergences, (
+            f"seed {seed}: {harness.divergences[:5]}"
+        )
+        queries += harness.queries
+    assert queries > 0  # a sweep that never queried proves nothing
